@@ -93,7 +93,11 @@ def parse_polytope(spec):
         return named_polytope(spec[1:])
     with open(spec) as fh:
         data = json.load(fh)
-    verts = [tuple(int(x) for x in v) for v in data["vertices"]]
+    try:
+        verts = [tuple(int(x) for x in v) for v in data["vertices"]]
+    except (TypeError, KeyError):
+        raise ValueError(f"{spec}: expected a JSON object with a "
+                         f"'vertices' list of integer tuples") from None
     want2 = bool(data.get("dim2", False))
     n = len(verts[0]) if verts else 0
     if want2 and n != 2:

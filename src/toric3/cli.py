@@ -197,16 +197,6 @@ def _cmd_code(args):
     return 0
 
 
-_FORMULAS = {}
-
-
-def _formula(name):
-    def deco(fn):
-        _FORMULAS[name] = fn
-        return fn
-    return deco
-
-
 def _cmd_bounds(args):
     from . import bounds as B
     if args.formula:
@@ -225,8 +215,12 @@ def _cmd_bounds(args):
         fn = getattr(B, args.formula, None)
         if fn is None or args.formula.startswith("_"):
             raise ValueError(f"unknown formula {args.formula!r}")
+        try:
+            value = fn(**kw)
+        except TypeError as exc:
+            raise ValueError(f"--formula {args.formula}: {exc}") from None
         _emit({"formula": args.formula, "args": kw,
-               "value": _jsonable(fn(**kw))})
+               "value": _jsonable(value)})
         return 0
     if not args.polytope or args.q is None:
         raise ValueError("bounds needs <polytope> --q Q, or --formula")
@@ -474,10 +468,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_bounds)
     p = sub.add_parser("verify", help="run a reference-value suite")
     p.add_argument("suite")
-    tier = p.add_mutually_exclusive_group()
-    tier.add_argument("--fast", action="store_true", default=True)
-    tier.add_argument("--long", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--long", action="store_true")
     p.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -1,11 +1,15 @@
 """Exact integer lattice geometry in dimensions 2 and 3.
 
-All computations are over exact integers (Python ints, or int64 numpy
-arrays for bulk point filtering; coordinates stay far below overflow at
-the scales this library targets).  Volumes of lower-dimensional polytopes
-are measured in the affine lattice aff(P) & Z^n, whose basis is obtained
-from the Smith normal form of the edge-vector matrix, so relative
-normalized volumes are always integers.
+Hulls and coordinates use Python ints only.  A full-dimensional hull in
+Z^3 comes from one exact incremental hull; numpy filters the lattice
+points of a bounding box (int64; coordinates stay far below overflow at
+the scales this library targets).  A lower-dimensional polytope carries
+an integer affine frame: with U A V = S the Smith normal form of its
+difference vectors A, the rows of V^-1 form the frame, its first dim
+rows are a basis of the lattice aff(P) & Z^n, and a lattice point p has
+the integer coordinates V^T (p - origin), whose last n - dim entries
+vanish exactly on aff(P).  Relative normalized volumes are therefore
+integers.
 """
 
 from __future__ import annotations
@@ -13,12 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from math import ceil, floor, gcd
 
 import numpy as np
-
-Vec = tuple  # tuple of ints
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def int_rank(vectors):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (with transforms) and saturated lattice bases
+# Smith normal form (with transforms) and integer affine frames
 
 def smith_normal_form(A):
     """Return (S, U, V) with U A V = S, U and V unimodular, S diagonal.
@@ -255,41 +256,15 @@ def smith_normal_form(A):
     return S, U, V
 
 
-def saturated_basis(diffs, n):
-    """Basis (list of vectors) of the saturation of the lattice generated
-    by ``diffs`` inside Z^n, i.e. of span_Q(diffs) & Z^n."""
-    rows = [list(d) for d in diffs if any(d)]
-    if not rows:
-        return []
-    S, U, V = smith_normal_form(rows)
-    r = sum(1 for i in range(min(len(rows), n)) if S[i][i] != 0)
-    # rows of (U A) = S V^{-1}; row i of S V^{-1} is d_i * (row i of V^{-1}).
-    Vinv = mat_inverse_unimodular(tuple(tuple(row) for row in V))
-    return [tuple(Vinv[i]) for i in range(r)]
+def _frame(diffs):
+    """Integer frame of the lattice span_Q(diffs) & Z^n.
 
-
-def complete_to_unimodular(basis, n):
-    """Extend a saturated lattice basis (rows) to a unimodular n x n matrix
-    whose first rows are the basis."""
-    r = len(basis)
-    if r == n:
-        M = tuple(tuple(row) for row in basis)
-        if mat_det(M) not in (1, -1):
-            raise ValueError("basis of full rank is not unimodular")
-        return M
-    rows = [list(b) for b in basis]
-    S, U, V = smith_normal_form(rows)
-    for i in range(r):
-        if S[i][i] != 1:
-            raise ValueError("basis is not saturated")
-    # B = U^{-1} [I 0] V^{-1}... easier: rows of B together with the last
-    # n-r rows of V^{-1} form a basis of Z^n.
-    Vinv = mat_inverse_unimodular(tuple(tuple(row) for row in V))
-    ext = [tuple(row) for row in basis] + [tuple(Vinv[i]) for i in range(r, n)]
-    M = tuple(ext)
-    if mat_det(M) not in (1, -1):
-        raise ValueError("completion failed")
-    return M
+    Returns (rows of V^-1, rows of V^T) for U A V = S the Smith normal form
+    of the rows ``diffs``: the first rank(A) rows of V^-1 are a basis of
+    the lattice, and V^T d gives the coordinates of d in the frame.
+    """
+    V = tuple(tuple(row) for row in smith_normal_form(diffs)[2])
+    return mat_inverse_unimodular(V), mat_transpose(V)
 
 
 # ---------------------------------------------------------------------------
@@ -363,70 +338,100 @@ def _hull_2d(points):
     return hull
 
 
-def _facets_3d(points):
-    """Facet half-spaces of a full-dimensional hull in R^3.
+def _hull_3d(pts):
+    """Vertices and facets of the hull of distinct points spanning Z^3.
 
-    Vectorized brute force over triples; callers prune large inputs first.
-    Returns a sorted tuple of (primitive normal, offset) with
-    <normal, x> >= offset for all points.
+    Exact incremental hull (Clarkson-Shor), taking points in Quickhull's
+    farthest-first order.  The boundary is a set of outward-oriented
+    triangles with integer normals.  Every point not yet added waits in
+    the conflict list of one triangle it lies strictly beyond; a point
+    beyond no triangle is inside the hull for good.  Adding a point
+    removes the triangles it sees and joins the horizon edges to it; those
+    edges lie in a plane the point is strictly beyond, so no triangle is
+    degenerate.  Coplanar triangles merge into facets at the end, returned
+    as sorted (primitive inward normal, offset) pairs with
+    <normal, x> >= offset.
     """
-    pts = sorted(set(points))
-    arr = np.array(pts, dtype=np.int64)
-    m = len(pts)
-    idx = np.array(list(itertools.combinations(range(m), 3)), dtype=np.int64)
-    a = arr[idx[:, 0]]
-    b = arr[idx[:, 1]] - a
-    c = arr[idx[:, 2]] - a
-    normals = np.cross(b, c)
-    nz = np.any(normals != 0, axis=1)
-    normals = normals[nz]
-    a = a[nz]
-    offs = np.einsum("ij,ij->i", normals, a)
-    dots = normals @ arr.T  # (ntriples, m)
-    mx = dots.max(axis=1)
-    mn = dots.min(axis=1)
-    lower = mn == offs  # all points on >= side after flipping below
-    upper = mx == offs
+    # 3D dot and cross products spelled out: they run for every triangle
+    # of the thousands of tiny hulls a segment sweep builds
+    def dot(n, p):
+        return n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
+
+    def normal(u, v, w):
+        x1, y1, z1 = v[0] - u[0], v[1] - u[1], v[2] - u[2]
+        x2, y2, z2 = w[0] - u[0], w[1] - u[1], w[2] - u[2]
+        return (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+
+    # a starting tetrahedron with det(b - a, c - a, d - a) > 0
+    a, b = pts[0], pts[1]
+    c = next(p for p in pts if any(normal(a, b, p)))
+    n = normal(a, b, c)
+    d = next(p for p in pts if dot(n, p) != dot(n, a))
+    if dot(n, d) < dot(n, a):
+        b, c = c, b
+    tris = {}       # id -> (corners, outward normal, offset)
+    edges = {}      # directed edge -> id of the triangle it bounds
+    conflicts = {}  # id -> points strictly beyond the triangle
+    ids = itertools.count()
+
+    def add(u, v, w):
+        t = next(ids)
+        n = normal(u, v, w)
+        tris[t] = ((u, v, w), n, dot(n, u))
+        edges[u, v] = edges[v, w] = edges[w, u] = t
+        conflicts[t] = []
+        return t
+
+    def assign(points, fresh):
+        for p in points:
+            for t in fresh:
+                _, n, off = tris[t]
+                if dot(n, p) > off:
+                    conflicts[t].append(p)
+                    break
+        return [t for t in fresh if conflicts[t]]
+
+    todo = assign((p for p in pts if p not in (a, b, c, d)),
+                  [add(a, c, b), add(a, b, d), add(a, d, c), add(b, c, d)])
+    while todo:
+        t = todo.pop()
+        if not conflicts.get(t):  # removed since it was queued
+            continue
+        _, n, _ = tris[t]
+        p = max(conflicts[t], key=lambda q: dot(n, q))
+        visible, stack, horizon = {t}, [t], []
+        while stack:
+            u, v, w = tris[stack.pop()][0]
+            for e in ((u, v), (v, w), (w, u)):
+                r = edges[e[1], e[0]]
+                if r in visible:
+                    continue
+                _, nr, off = tris[r]
+                if dot(nr, p) > off:
+                    visible.add(r)
+                    stack.append(r)
+                else:
+                    horizon.append(e)
+        orphans = []
+        for s in visible:
+            u, v, w = tris.pop(s)[0]
+            del edges[u, v], edges[v, w], edges[w, u]
+            orphans += conflicts.pop(s)
+        todo += assign((q for q in orphans if q != p),
+                       [add(u, v, p) for u, v in horizon])
+
     facets = set()
-    for k in np.nonzero(lower | upper)[0]:
-        nvec = tuple(int(x) for x in normals[k])
-        off = int(offs[k])
-        if mx[k] == offs[k]:  # all points <= off: flip so >= holds
-            nvec = vneg(nvec)
-            off = -off
-        g = vgcd(nvec)
-        facets.add((tuple(x // g for x in nvec), off // g if off % g == 0
-                    else Fraction(off, g)))
-    # offsets always divide exactly: the facet plane passes through lattice
-    # points, so <n/g, x> is an integer there.
-    return tuple(sorted((n, int(o)) for n, o in facets))
-
-
-def _prune_candidates_3d(points):
-    """Cheap exact pruning for large inputs: hull of directional extremes,
-    then keep only points on or outside that inner hull."""
-    pts = sorted(set(points))
-    if len(pts) <= 40:
-        return pts
-    arr = np.array(pts, dtype=np.int64)
-    dirs = [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
-    seed = set()
-    for d in dirs:
-        vals = arr @ np.array(d, dtype=np.int64)
-        seed.add(pts[int(vals.argmax())])
-    seed = sorted(seed)
-    if int_rank([vsub(p, seed[0]) for p in seed[1:]]) < 3:
-        return pts
-    inner = _facets_3d(seed)
-    keep = set(seed)
-    normals = np.array([n for n, _ in inner], dtype=np.int64)
-    offs = np.array([o for _, o in inner], dtype=np.int64)
-    dots = arr @ normals.T
-    strict_inside = np.all(dots > offs, axis=1)
-    for i, p in enumerate(pts):
-        if not strict_inside[i]:
-            keep.add(p)
-    return sorted(keep)
+    normals = {}  # triangle corner -> inward normals of its facets
+    for corners, n, off in tris.values():
+        g = vgcd(n)
+        f = (tuple(-x // g for x in n), -off // g)
+        facets.add(f)
+        for p in corners:
+            normals.setdefault(p, set()).add(f[0])
+    # at most two facets share an edge, so three facet normals at a
+    # corner already have rank 3 and make it a vertex
+    verts = [p for p, ns in normals.items() if len(ns) >= 3]
+    return verts, tuple(sorted(facets))
 
 
 class Polytope:
@@ -434,22 +439,25 @@ class Polytope:
 
     Construct through :func:`convex_hull`. For full-dimensional polytopes
     ``facets`` holds the irredundant half-space system
-    ``<normal, x> >= offset`` with primitive normals.  Lower-dimensional
-    polytopes carry an exact embedding of an intrinsic full-dimensional
-    polytope over the affine lattice aff(P) & Z^n.
+    ``<normal, x> >= offset`` with primitive normals.  A lower-dimensional
+    polytope carries its integer affine frame (``_origin``, the rows
+    ``_frame`` of V^-1 and ``_coframe`` of V^T; see the module docstring)
+    and ``_inner``, the full-dimensional polytope of its frame coordinates
+    over aff(P) & Z^n, whose facets it shares.
     """
 
-    __slots__ = ("ambient", "dim", "vertices", "facets", "_origin", "_basis",
-                 "_inner", "_points", "__weakref__")
+    __slots__ = ("ambient", "dim", "vertices", "facets", "_origin", "_frame",
+                 "_coframe", "_inner", "_points", "__weakref__")
 
     def __init__(self, ambient, dim, vertices, facets=None, origin=None,
-                 basis=None, inner=None):
+                 frame=None, coframe=None, inner=None):
         self.ambient = ambient
         self.dim = dim
         self.vertices = tuple(sorted(vertices))
         self.facets = facets
         self._origin = origin
-        self._basis = basis
+        self._frame = frame
+        self._coframe = coframe
         self._inner = inner
         self._points = None
 
@@ -491,39 +499,24 @@ class Polytope:
         return tuple(sorted(map(tuple, box[ok].tolist())))
 
     def _embed(self, c):
+        """The point origin + sum_i c_i frame_i of aff(P)."""
         v = self._origin
-        for coef, bvec in zip(c, self._basis):
+        for coef, bvec in zip(c, self._frame):
             v = vadd(v, tuple(coef * x for x in bvec))
         return v
 
-    def _intrinsic_coords(self, p):
-        """Exact coordinates of an ambient lattice point of aff(P) in the
-        intrinsic basis."""
-        d = vsub(p, self._origin)
-        # solve c * basis = d  (basis rows); least-squares free since exact
-        B = self._basis
-        n = self.ambient
-        # build square system using B B^T
-        G = [[vdot(B[i], B[j]) for j in range(len(B))] for i in range(len(B))]
-        rhs = [vdot(B[i], d) for i in range(len(B))]
-        sol = solve_rational(G, rhs)
-        coords = tuple(int(x) for x in sol)
-        if any(Fraction(c) != s for c, s in zip(coords, sol)):
-            raise ValueError("point not in the affine lattice")
-        if self._embed(coords) != p:
-            raise ValueError("point not in aff(P)")
-        return coords
+    def _coords(self, p):
+        """Frame coordinates V^T (p - origin) of p; the last n - dim of
+        them vanish exactly when p lies in aff(P)."""
+        return mat_vec(self._coframe, vsub(p, self._origin))
 
     def contains(self, p):
         if self.dim == 0:
             return tuple(p) == self.vertices[0]
         if self.dim == self.ambient:
             return all(vdot(n, p) >= b for n, b in self.facets)
-        try:
-            c = self._intrinsic_coords(p)
-        except ValueError:
-            return False
-        return self._inner.contains(c)
+        c = self._coords(p)
+        return not any(c[self.dim:]) and self._inner.contains(c[:self.dim])
 
     # -- invariants --------------------------------------------------------
 
@@ -551,53 +544,31 @@ def convex_hull(points):
 
     if dim == 0:
         return Polytope(n, 0, (p0,))
-
+    if dim == n == 3:
+        return Polytope(n, 3, *_hull_3d(pts))
     if dim == n:
-        if n == 2:
-            hull = _hull_2d(pts)
-            facets = []
-            for i in range(len(hull)):
-                a, b = hull[i], hull[(i + 1) % len(hull)]
-                d = vsub(b, a)
-                nvec = primitive((-d[1], d[0]))  # inward for ccw order
-                facets.append((nvec, vdot(nvec, a)))
-            return Polytope(n, 2, hull, tuple(sorted(facets)))
-        cand = _prune_candidates_3d(pts)
-        facets = _facets_3d(cand)
-        normals = [np.array(f[0], dtype=np.int64) for f in facets]
-        verts = []
-        arr = np.array(cand, dtype=np.int64)
-        nmat = np.array([f[0] for f in facets], dtype=np.int64)
-        offs = np.array([f[1] for f in facets], dtype=np.int64)
-        dots = arr @ nmat.T
-        onfac = dots == offs
-        for i, p in enumerate(cand):
-            inc = [facets[j][0] for j in np.nonzero(onfac[i])[0]]
-            if len(inc) >= 3 and int_rank(inc) == 3:
-                verts.append(p)
-        return Polytope(n, 3, verts, facets)
+        hull = _hull_2d(pts)
+        facets = []
+        for i in range(len(hull)):
+            a, b = hull[i], hull[(i + 1) % len(hull)]
+            d = vsub(b, a)
+            nvec = primitive((-d[1], d[0]))  # inward for ccw order
+            facets.append((nvec, vdot(nvec, a)))
+        return Polytope(n, 2, hull, tuple(sorted(facets)))
 
-    # degenerate: map to intrinsic coordinates over the saturated lattice
-    basis = saturated_basis(diffs, n)
-    inner_pts = []
-    proto = Polytope(n, dim, pts, origin=p0, basis=tuple(basis))
-    for p in pts:
-        inner_pts.append(proto._intrinsic_coords(p))
-    inner = convex_hull(inner_pts) if dim >= 2 else _hull_1d(inner_pts)
-    verts = [proto._embed(c) for c in inner.vertices]
-    return Polytope(n, dim, verts, facets=inner.facets, origin=p0,
-                    basis=tuple(basis), inner=inner)
-
-
-def _hull_1d(points):
-    """Hull of 1-dim intrinsic coordinate tuples (length-1 tuples)."""
-    vals = sorted(p[0] for p in points)
-    lo, hi = vals[0], vals[-1]
-    P = Polytope(1, 1 if lo != hi else 0,
-                 tuple({(lo,), (hi,)}),
-                 facets=(((1,), lo), ((-1,), -hi)))
-    P._points = tuple((v,) for v in range(lo, hi + 1))
-    return P
+    # lower-dimensional: hull the frame coordinates over aff(P) & Z^n
+    frame, coframe = _frame(diffs)
+    coords = [mat_vec(coframe[:dim], d) for d in [(0,) * n] + diffs]
+    if dim == 1:
+        lo, hi = min(coords), max(coords)
+        inner = Polytope(1, 1, (lo, hi), facets=(((1,), lo[0]),
+                                                  ((-1,), -hi[0])))
+        inner._points = tuple((v,) for v in range(lo[0], hi[0] + 1))  # no box
+    else:
+        inner = convex_hull(coords)
+    back = dict(zip(coords, pts))
+    return Polytope(n, dim, [back[c] for c in inner.vertices], inner.facets,
+                    p0, frame, coframe, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +585,9 @@ def minkowski_sum(P, Q):
     return convex_hull(sums)
 
 
-def _relative_vol2(P):
-    """Normalized area (2 * Euclidean area) of a polygon given as a
-    ccw-ordered vertex cycle in Z^2."""
-    verts = P if isinstance(P, (list, tuple)) else P.vertices
-    hull = _hull_2d(verts)
+def _relative_vol2(points):
+    """Normalized area (2 * Euclidean area) of the hull of points in Z^2."""
+    hull = _hull_2d(points)
     s = 0
     for i in range(len(hull)):
         a = hull[i]
@@ -632,30 +601,23 @@ def normalized_volume(P):
     if P.dim == 0:
         return 0
     if P.dim < P.ambient:
-        return normalized_volume(P._inner) if P._inner is not None else 0
-    if P.ambient == 1 or P.dim == 1:
-        vals = [v[0] for v in P.vertices]
-        return max(vals) - min(vals)
+        return normalized_volume(P._inner)
+    if P.dim == 1:
+        return P.vertices[-1][0] - P.vertices[0][0]
     if P.dim == 2:
         return _relative_vol2(P.vertices)
-    # dim 3: fan triangulation from the first vertex over the facets
+    # dim 3: pyramids from the first vertex over the facets.  Projection
+    # along an axis k with n_k != 0 maps a facet plane's lattice onto a
+    # sublattice of index |n_k| in Z^2, which scales its area by |n_k|.
     v0 = P.vertices[0]
     total = 0
     for nvec, off in P.facets:
-        if vdot(nvec, v0) == off:
-            continue  # facet contains v0, pyramid is flat
-        fpts = [p for p in P.vertices if vdot(nvec, p) == off]
-        # order the facet polygon in its plane
-        basis = saturated_basis([vsub(p, fpts[0]) for p in fpts[1:]], 3)
-        proto = Polytope(3, 2, fpts, origin=fpts[0], basis=tuple(basis))
-        flat = [proto._intrinsic_coords(p) for p in fpts]
-        cyc = _hull_2d(flat)
-        back = {c: p for c, p in zip(flat, fpts)}
-        cyc3 = [back[c] for c in cyc]
-        a = cyc3[0]
-        for i in range(1, len(cyc3) - 1):
-            M = (vsub(cyc3[i], a), vsub(cyc3[i + 1], a), vsub(v0, a))
-            total += abs(mat_det(M))
+        height = vdot(nvec, v0) - off
+        if height:
+            k = next(i for i, x in enumerate(nvec) if x)
+            flat = [p[:k] + p[k + 1:] for p in P.vertices
+                    if vdot(nvec, p) == off]
+            total += height * _relative_vol2(flat) // abs(nvec[k])
     return total
 
 
@@ -691,25 +653,17 @@ def mixed_area(P0, P1):
     S = minkowski_sum(P0, P1)
     if S.dim > 2:
         raise ValueError("polytopes do not lie in parallel planes")
-    if P0.ambient == 2:
-        v = _relative_vol2(P0.vertices) if P0.dim == 2 else 0
-        w = _relative_vol2(P1.vertices) if P1.dim == 2 else 0
-        s = _relative_vol2(S.vertices) if S.dim == 2 else 0
-        return (s - v - w) // 2
-    # ambient 3: measure all three in the plane lattice of the sum
     if S.dim < 2:
         return 0
-    basis = S._basis
-    origin = S._origin
+    # measure all three in the plane lattice of the sum
+    B = S._coframe[:2] if S.ambient == 3 else mat_identity(2)
 
-    def flat_area(P):
+    def area(P):
         if P.dim < 2:
             return 0
-        ref = P.vertices[0]
-        proto = Polytope(3, 2, P.vertices, origin=ref, basis=basis)
-        return _relative_vol2([proto._intrinsic_coords(p) for p in P.vertices])
+        return _relative_vol2([mat_vec(B, p) for p in P.vertices])
 
-    return (flat_area(S) - flat_area(P0) - flat_area(P1)) // 2
+    return (area(S) - area(P0) - area(P1)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +723,26 @@ def erode(points, u):
 # ---------------------------------------------------------------------------
 # rational half-space systems (erosion regions, the good-polytope region)
 
+def _recedes(normals, n):
+    """True iff some x != 0 in R^n has <a, x> >= 0 for every a in normals
+    (n <= 3)."""
+    if int_rank(normals) < n:
+        return True
+    # the cone {x : <a, x> >= 0} is pointed; it is not {0} iff it has an
+    # extreme ray, which spans the kernel of n - 1 independent normals
+    for rows in itertools.combinations(normals, n - 1):
+        if n == 3:
+            r = cross(*rows)
+        elif n == 2:
+            r = (rows[0][1], -rows[0][0])
+        else:
+            r = (1,)
+        if any(r) and any(all(vdot(a, s) >= 0 for a in normals)
+                          for s in (r, vneg(r))):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class RationalHalfSpaceSystem:
     """Finite system of inequalities <normal, x> >= bound with integer data.
@@ -787,14 +761,18 @@ class RationalHalfSpaceSystem:
         return all(vdot(n, x) >= b for n, b in self.inequalities)
 
     def _bounding_box(self):
-        """Exact bounding box via rational vertex enumeration.
+        """Exact bounding box via rational vertex enumeration, or None for
+        an empty region.
 
-        Raises if the region is unbounded (no vertex certificate gives a
-        finite box and some direction escapes)."""
+        Raises ValueError when some x != 0 has <normal, x> >= 0 for every
+        inequality: the region is then unbounded, or empty with an
+        unbounded direction."""
         ineqs = self.inequalities
         if not ineqs:
             raise ValueError("empty system is unbounded")
         n = len(ineqs[0][0])
+        if _recedes([nv for nv, _ in ineqs], n):
+            raise ValueError("unbounded region")
         verts = []
         for combo in itertools.combinations(range(len(ineqs)), n):
             M = [list(ineqs[i][0]) for i in combo]
@@ -810,8 +788,7 @@ class RationalHalfSpaceSystem:
             return None  # empty region
         los = [min(v[i] for v in verts) for i in range(n)]
         his = [max(v[i] for v in verts) for i in range(n)]
-        import math
-        return ([math.floor(x) for x in los], [math.ceil(x) for x in his])
+        return [floor(x) for x in los], [ceil(x) for x in his]
 
     def integer_points(self):
         box = self._bounding_box()
@@ -911,24 +888,16 @@ def equivalent(P, Q):
             inner_map = equivalent(innerP, innerQ)
         if inner_map is None:
             return None
-        CP = complete_to_unimodular(list(P._basis), n)  # rows
-        CQ = complete_to_unimodular(list(Q._basis), n)
+        # x = origin + F^T c for the frames F (rows of V^-1), so M maps
+        # F_P^T c to F_Q^T block c; (F_P^T)^-1 is P's coframe V_P^T
         d = P.dim
         Md = inner_map.matrix
-        block = [[Md[i][j] if i < d and j < d else (1 if i == j else 0)
-                  for j in range(n)] for i in range(n)]
-        # column-convention: x = p0 + B_P^T c  with B rows as basis vectors
-        BPt = mat_transpose(CP)  # columns are basis vectors
-        BQt = mat_transpose(CQ)
-        M = mat_mul(mat_mul(BQt, tuple(tuple(r) for r in block)),
-                    mat_inverse_unimodular(BPt))
-        if mat_det(M) not in (1, -1):
-            return None
+        block = tuple(tuple(Md[i][j] if i < d and j < d else int(i == j)
+                            for j in range(n)) for i in range(n))
+        M = mat_mul(mat_mul(mat_transpose(Q._frame), block), P._coframe)
         # translation: match one vertex pair through the intrinsic map
         p0 = P.vertices[0]
-        cp0 = P._intrinsic_coords(p0)
-        cq0 = inner_map(cp0)
-        q0 = Q._embed(cq0)
+        q0 = Q._embed(inner_map(P._coords(p0)[:d]))
         t = vsub(q0, mat_vec(M, p0))
         phi = UnimodularMap(M, t)
         if tuple(sorted(phi(v) for v in P.vertices)) == Q.vertices:
@@ -1001,14 +970,11 @@ def tuple_equivalent(Ps, Qs):
             choices.append(list(itertools.permutations(Qs[i].vertices, npos)))
         for combo in itertools.product(*choices):
             src_dirs, dst_dirs = [], []
-            ok = True
             for i, imgs in zip(used, combo):
                 pos = per_poly_positions[i]
                 for k in range(1, len(pos)):
                     src_dirs.append(vsub(pos[k], pos[0]))
                     dst_dirs.append(vsub(imgs[k], imgs[0]))
-            if not ok:
-                continue
             M = _solve_linear_map(src_dirs, dst_dirs, n)
             if M is not None:
                 yield M

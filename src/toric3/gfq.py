@@ -145,9 +145,6 @@ class FiniteField:
         da = _int_digits(a, self.p, self.e)
         return _digits_int([(-x) % self.p for x in da], self.p)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def _mul_raw(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
@@ -253,17 +250,6 @@ class LaurentPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def evaluate_log(self, logs):
-        """Evaluate at the torus point whose coordinate discrete logs are
-        ``logs``; returns the element code."""
-        F = self.field
-        acc = 0
-        for a, c in self.terms:
-            k = (int(F.log[c]) + sum(x * y for x, y in zip(a, logs))) \
-                % (F.q - 1)
-            acc = F.add(acc, int(F.exp[k]))
-        return acc
 
 
 def _term_value_logs(f, loggrid):

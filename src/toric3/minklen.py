@@ -211,9 +211,8 @@ def good_polytope(P, bound=14):
         normals = [n for n, _ in P.facets]
     elif P.ambient == 3 and P.dim == 2:
         from .geometry import cross, primitive
-        b1, b2 = P._basis
+        b1, b2 = P._frame[:2]
         plane_normal = primitive(cross(b1, b2))
-        verts = P.vertices
         inner = P._inner
         for nvec2, _ in inner.facets:
             # lift the inner edge normal: n = nvec2[0]*g1 + nvec2[1]*g2 where

@@ -45,6 +45,13 @@ class TestPolytopeFiles:
     def test_missing_file(self, capsys):
         assert cli.run(["info", "/does/not/exist.json"]) == 2
 
+    def test_bare_vertex_list_rejected(self, tmp_path, capsys):
+        f = tmp_path / "list.json"
+        f.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+        assert cli.run(["info", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestLengthAndSearches:
     def test_length_certificate(self, capsys):
@@ -141,6 +148,12 @@ class TestBounds:
 
     def test_unknown_formula(self):
         assert cli.run(["bounds", "--formula", "no_such"]) == 2
+
+    def test_formula_bad_arguments(self, capsys):
+        rc = cli.run(["bounds", "--formula", "alpha", "--args", "L=2", "x=3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_arguments(self):
         assert cli.run(["bounds"]) == 2

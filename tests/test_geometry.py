@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_affine_map, random_points, random_polytope
+from conftest import (random_affine_map, random_points, random_polytope,
+                      random_unimodular)
 from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
                              ambient_vol3, convex_hull, equivalent, erode,
                              int_rank, lattice_points, lattice_width,
@@ -57,6 +58,98 @@ class TestConvexHull:
             expected = {p for p in itertools.product(box, box, box)
                         if P.contains(p)}
             assert set(lattice_points(P)) == expected
+
+    def test_flat_lattice_points_against_brute_force(self, rng):
+        # tilted planes and segments in Z^3 go through the integer frame
+        done = 0
+        while done < 60:
+            base = random_points(rng, int(rng.integers(2, 6)), 3, ambient=2)
+            if done % 2:
+                base = [(x, 0) for x, _ in base]
+            phi = UnimodularMap(random_unimodular(rng, shears=3),
+                                (int(rng.integers(-3, 4)),) * 3)
+            P = convex_hull([phi((x, y, 0)) for x, y in base])
+            if P.dim == 0:
+                continue
+            lo = [min(v[i] for v in P.vertices) - 1 for i in range(3)]
+            hi = [max(v[i] for v in P.vertices) + 1 for i in range(3)]
+            if np.prod(np.subtract(hi, lo) + 1) > 20000:
+                continue
+            box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            pts = lattice_points(P)
+            assert set(pts) == {p for p in box if P.contains(p)}
+            back = [phi.inverse()(p) for p in pts]
+            assert all(z == 0 for _, _, z in back)
+            assert sorted((x, y) for x, y, _ in back) == \
+                lattice_points(convex_hull(base))
+            done += 1
+
+
+def brute_force_facets(points):
+    """Facets of the hull of points spanning R^3, independently of the
+    library: every plane through three of the points with all points on
+    one side, as (primitive inward normal, offset) pairs."""
+    arr = np.array(sorted(set(points)), dtype=np.int64)
+    idx = np.array(list(itertools.combinations(range(len(arr)), 3)))
+    a = arr[idx[:, 0]]
+    normals = np.cross(arr[idx[:, 1]] - a, arr[idx[:, 2]] - a)
+    keep = normals.any(axis=1)
+    normals, a = normals[keep], a[keep]
+    normals //= np.gcd.reduce(np.abs(normals), axis=1)[:, None]
+    offs = np.einsum("ij,ij->i", normals, a)
+    dots = normals @ arr.T
+    facets = set()
+    for k in np.nonzero(dots.min(axis=1) == offs)[0]:
+        facets.add((tuple(int(x) for x in normals[k]), int(offs[k])))
+    for k in np.nonzero(dots.max(axis=1) == offs)[0]:
+        facets.add((tuple(-int(x) for x in normals[k]), -int(offs[k])))
+    return tuple(sorted(facets))
+
+
+def brute_force_vertices(points, facets):
+    """The points lying on facets whose normals have rank 3."""
+    out = []
+    for p in sorted(set(points)):
+        normals = [n for n, off in facets if np.dot(n, p) == off]
+        if normals and np.linalg.matrix_rank(normals) == 3:
+            out.append(p)
+    return out
+
+
+def seeded_clouds(rng, count):
+    """Full-dimensional clouds of 4-30 points in boxes of side 2-10; two in
+    three are coplanar-heavy (points on the surface of a box, or a dense
+    plane with a few points off it)."""
+    out = []
+    while len(out) < count:
+        m, box = int(rng.integers(4, 31)), int(rng.integers(2, 11))
+        pts = random_points(rng, m, box)
+        kind = len(out) % 3
+        if kind == 1:  # on the surface of the box
+            pts = [p[:i] + (box * int(rng.integers(2)),) + p[i + 1:]
+                   for p in pts for i in [int(rng.integers(3))]]
+        elif kind == 2:  # a dense plane and a few points off it
+            pts = [(x, y, 0) for x, y, _ in pts] + pts[:2]
+        if np.linalg.matrix_rank(np.subtract(pts, pts[0])) == 3:
+            out.append(pts)
+    return out
+
+
+class TestHullOracle:
+    def test_against_brute_force(self, rng):
+        for pts in seeded_clouds(rng, 1200):
+            P = convex_hull(pts)
+            facets = brute_force_facets(pts)
+            assert P.facets == facets
+            assert list(P.vertices) == brute_force_vertices(pts, facets)
+
+    @pytest.mark.parametrize("d", [6, 10])
+    def test_dense_cube(self, d):
+        P = convex_hull(itertools.product(range(d + 1), repeat=3))
+        assert P.vertices == tuple(itertools.product((0, d), repeat=3))
+        assert len(P.facets) == 6
+        assert P.n_points == (d + 1) ** 3
+        assert normalized_volume(P) == 6 * d ** 3
 
 
 class TestExactLinearAlgebra:
@@ -207,6 +300,18 @@ class TestHalfSpaceSystem:
         sys = RationalHalfSpaceSystem([((1, 0, 0), 0), ((-1, 0, 0), -2)])
         assert sys.contains((1, 5, -7))
         assert not sys.contains((3, 0, 0))
+
+    def test_unbounded_region_raises(self):
+        octant = RationalHalfSpaceSystem(
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)])
+        with pytest.raises(ValueError, match="unbounded"):
+            octant.integer_points()
+        strip = RationalHalfSpaceSystem([((1, 0), 0), ((-1, 0), -2)])
+        with pytest.raises(ValueError, match="unbounded"):
+            strip.integer_points()
+        wedge = RationalHalfSpaceSystem([((1, 1), 0), ((1, -1), 0)])
+        with pytest.raises(ValueError, match="unbounded"):
+            wedge.integer_points()
 
 
 class TestEquivalence:
