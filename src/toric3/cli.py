@@ -6,8 +6,9 @@ a CSV report is requested.  Exit codes: 0 success, 1 verify mismatch,
 2 precondition error, 3 budget exceeded.
 
 The --threads value (or the TORIC3_THREADS environment variable) caps
-the BLAS worker pool; it is applied before numpy is imported, and
-results never depend on it.
+the BLAS worker pool; it is accepted before or after the subcommand,
+overrides inherited OMP/OpenBLAS/MKL thread settings, is applied before
+numpy is imported, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _apply_threads(argv):
     if n:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+            os.environ[var] = str(n)
 
 
 def _jsonable(x):
@@ -215,6 +216,10 @@ def _cmd_bounds(args):
         fn = getattr(B, args.formula, None)
         if fn is None or args.formula.startswith("_"):
             raise ValueError(f"unknown formula {args.formula!r}")
+        if "q" in kw and not (type(kw["q"]) is int
+                              and B.is_prime_power(kw["q"])):
+            raise ValueError(f"--formula {args.formula}: q={kw['q']} is "
+                             "not a prime power")
         try:
             value = fn(**kw)
         except TypeError as exc:
@@ -413,17 +418,21 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _build_parser():
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+                         help="cap for the BLAS worker pool "
+                              "(or TORIC3_THREADS); results are unaffected")
     ap = argparse.ArgumentParser(
-        prog="toric3",
+        prog="toric3", parents=[threads],
         description="Minkowski length machinery and toric 3-fold codes "
                     "over finite fields, in exact arithmetic.")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap for the BLAS worker pool "
-                         "(or TORIC3_THREADS); results are unaffected")
     sub = ap.add_subparsers(dest="command")
 
+    def add_parser(name, help_):
+        return sub.add_parser(name, help=help_, parents=[threads])
+
     def poly_cmd(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+        p = add_parser(name, help_)
         p.add_argument("polytope", help="@catalog-name or polytope JSON file")
         p.set_defaults(fn=fn)
         return p
@@ -439,16 +448,14 @@ def _build_parser():
     poly_cmd("triangles", _cmd_triangles,
              "triangles T with L(T) = 1 and L(P + T) = 2")
     poly_cmd("tetra", _cmd_tetra, "tetrahedra within P's difference set")
-    p = sub.add_parser("pair", help="classify a maximal pair of L = 1 "
-                                    "summands")
+    p = add_parser("pair", "classify a maximal pair of L = 1 summands")
     p.add_argument("p"), p.add_argument("q")
     p.set_defaults(fn=_cmd_pair)
-    p = sub.add_parser("triple", help="classify a maximal triple of L = 1 "
-                                      "summands")
+    p = add_parser("triple", "classify a maximal triple of L = 1 summands")
     p.add_argument("p"), p.add_argument("q"), p.add_argument("r")
     p.set_defaults(fn=_cmd_triple)
-    p = sub.add_parser("zeros", help="count torus zeros of a polynomial "
-                                     "file (one 'c a1 a2 ...' term per line)")
+    p = add_parser("zeros", "count torus zeros of a polynomial file "
+                            "(one 'c a1 a2 ...' term per line)")
     p.add_argument("polynomial")
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(fn=_cmd_zeros)
@@ -457,8 +464,8 @@ def _build_parser():
     p.add_argument("--engine", choices=("auto", "exhaustive", "bz"),
                    default="auto")
     p.add_argument("--report", choices=("json", "csv"), default="json")
-    p = sub.add_parser("bounds", help="bound reports for a polytope, or a "
-                                      "single formula evaluation")
+    p = add_parser("bounds", "bound reports for a polytope, or a single "
+                             "formula evaluation")
     p.add_argument("polytope", nargs="?")
     p.add_argument("--q", type=int)
     p.add_argument("--engine", choices=("auto", "exhaustive", "bz"),
@@ -466,7 +473,7 @@ def _build_parser():
     p.add_argument("--formula")
     p.add_argument("--args", nargs="*")
     p.set_defaults(fn=_cmd_bounds)
-    p = sub.add_parser("verify", help="run a reference-value suite")
+    p = add_parser("verify", "run a reference-value suite")
     p.add_argument("suite")
     p.add_argument("--long", action="store_true")
     p.set_defaults(fn=_cmd_verify)

@@ -7,15 +7,18 @@ their coordinate discrete logs (base = the field's canonical generator),
 so generator matrices are reproducible across platforms.
 
 Two minimum-weight engines are provided.  The exhaustive engine sweeps
-one codeword per projective message class (first nonzero coordinate
-fixed to 1) and is guarded by a coordinate-update budget.  The multi-
-information-set engine (Brouwer-Zimmermann) enumerates codewords by
-information weight over greedily chosen disjoint information sets and
-terminates once the accumulated lower bound meets the best weight found.
+one codeword per orbit stratum of the weight-preserving rescalings
+m_a -> lambda t^a m_a, (lambda, t) in (F_q^*)^(m+1), of the messages
+(see ``_sweep_plan``), and is guarded by a coordinate-update budget.
+The multi-information-set engine (Brouwer-Zimmermann) enumerates
+codewords by information weight over greedily chosen disjoint
+information sets and terminates once the accumulated lower bound meets
+the best weight found.
 
-Weight sweeps run as batched matrix products: residues stay below 2^24,
-so float32 BLAS products are exact; extension fields are handled one
-base-p digit at a time using the power-basis structure constants.
+Weight sweeps run as batched matrix products in float32, or in float64
+when an accumulated integer could reach 2^24, so they are exact;
+extension fields are handled one base-p digit at a time using the
+power-basis structure constants.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
 from .bounds import (BoundReport, dps_volume_bound, griesmer_max_d, gv_max_d,
                      simplex_bound, width_one_final_bound, char_of)
-from .geometry import Polytope, lattice_width, normalized_volume
+from .geometry import (Polytope, lattice_width, normalized_volume,
+                       smith_normal_form)
 from .gfq import _log_grid, make_field
 from .minklen import minkowski_length
 
@@ -50,31 +55,32 @@ def _vec_sub(field, a, b):
 
 
 def _vec_scale(field, s, a):
-    """Elementwise s * a for a scalar code s and an array of codes."""
-    if s == 0:
-        return np.zeros_like(a)
-    out = np.zeros_like(a)
-    nz = a != 0
-    logs = (field.log[a[nz]] + int(field.log[s])) % (field.q - 1)
-    out[nz] = field.exp[logs]
+    """Elementwise s * a on element codes; ``s`` broadcasts against ``a``."""
+    s, a = np.broadcast_arrays(np.asarray(s, dtype=np.int64), a)
+    out = np.zeros(a.shape, dtype=np.int64)
+    nz = (a != 0) & (s != 0)
+    out[nz] = field.exp[(field.log[a[nz]] + field.log[s[nz]])
+                        % (field.q - 1)]
     return out
 
 
 def _row_reduce(field, rows):
-    """Return indices of a maximal independent subset of ``rows``."""
-    work = [r.copy() for r in rows]
-    pivots = []  # (column, reduced row)
+    """Indices of the first maximal independent subset of ``rows``: the
+    pivot columns of the row-echelon form of their transpose."""
+    work = np.array(rows, dtype=np.int64).T
     basis = []
-    for idx, r in enumerate(work):
-        for col, pr in pivots:
-            if r[col] != 0:
-                r[:] = _vec_sub(field, r, _vec_scale(field, int(r[col]), pr))
-        nz = np.flatnonzero(r)
-        if nz.size:
-            col = int(nz[0])
-            r = _vec_scale(field, field.inv(int(r[col])), r)
-            pivots.append((col, r))
-            basis.append(idx)
+    for r in range(work.shape[0]):
+        live = np.flatnonzero(work[r:].any(axis=0))
+        if live.size == 0:
+            break
+        c = int(live[0])
+        i = r + int(np.flatnonzero(work[r:, c])[0])
+        work[[r, i]] = work[[i, r]]
+        pivot = _vec_scale(field, field.inv(int(work[r, c])), work[r])
+        below = work[r + 1:]
+        work[r + 1:] = _vec_sub(field, below,
+                                _vec_scale(field, below[:, c:c + 1], pivot))
+        basis.append(c)
     return basis
 
 
@@ -89,26 +95,16 @@ def _gf_inv(field, mat):
         if piv != i:
             aug[[i, piv]] = aug[[piv, i]]
         aug[i] = _vec_scale(field, field.inv(int(aug[i, i])), aug[i])
-        for r in range(k):
-            if r != i and aug[r, i] != 0:
-                aug[r] = _vec_sub(
-                    field, aug[r], _vec_scale(field, int(aug[r, i]), aug[i]))
+        others = aug[:, i:i + 1].copy()
+        others[i] = 0
+        aug = _vec_sub(field, aug, _vec_scale(field, others, aug[i]))
     return aug[:, k:]
 
 
 def _gf_matmul(field, a, b):
     """Exact product of code matrices a (r x k) and b (k x n)."""
-    r, k = a.shape
-    out = np.zeros((r, b.shape[1]), dtype=np.int64)
-    for i in range(r):
-        parts = [_vec_scale(field, int(a[i, j]), b[j])
-                 for j in range(k) if a[i, j] != 0]
-        if parts:
-            total = np.zeros((b.shape[1], field.e), dtype=np.int64)
-            for part in parts:
-                total += field.codes_to_digits(part)
-            out[i] = field.digits_to_codes(total)
-    return out
+    terms = field.codes_to_digits(_vec_scale(field, a[:, :, None], b))
+    return field.digits_to_codes(terms.sum(axis=1))  # sum over k
 
 
 # ---------------------------------------------------------------------------
@@ -117,35 +113,45 @@ def _gf_matmul(field, a, b):
 class _WeightEngine:
     """Counts zero coordinates of m @ G for batches of message rows.
 
-    Prime fields use one float32 product (entries < 2^24, hence exact).
-    Extension fields decompose everything into base-p digits: with
-    struct[s] the digit vector of x^s mod the field modulus, codeword
-    digit t is sum_s (sum_{i+j=s} M_i @ G_j) * struct[s][t] mod p.
+    Prime fields use one product.  Extension fields decompose everything
+    into base-p digits: with struct[s] the digit vector of x^s mod the
+    field modulus, codeword digit t is sum_s (sum_{i+j=s} M_i @ G_j) *
+    struct[s][t] mod p.  Products run in float32 while the largest
+    accumulated integer stays below 2^24, else in float64.
     """
 
     def __init__(self, field, gen):
         self.field = field
         self.n = gen.shape[1]
         self.k = gen.shape[0]
-        if field.e == 1:
-            self._g = gen.astype(np.float32)
-        else:
-            digs = field.codes_to_digits(gen)  # (k, n, e)
-            self._g = [digs[:, :, j].astype(np.float32)
-                       for j in range(field.e)]
+        top = self.k * (field.p - 1) ** 2  # bound on one product entry
+        if field.e > 1:
             x_code = field.p  # the element represented by the monomial x
             self._struct = np.array(
                 [field.codes_to_digits(field.power(x_code, s))
                  for s in range(2 * field.e - 1)], dtype=np.int64)
+            pairs = [min(s + 1, 2 * field.e - 1 - s)
+                     for s in range(2 * field.e - 1)]
+            top *= int((np.array(pairs) @ self._struct).max())
+        if top > 2 ** 53:
+            raise ValueError(f"weight sweep over GF({field.q}) with k="
+                             f"{self.k} is not exact in float64")
+        self._dtype = np.float32 if top < 2 ** 24 else np.float64
+        if field.e == 1:
+            self._g = gen.astype(self._dtype)
+        else:
+            digs = field.codes_to_digits(gen)  # (k, n, e)
+            self._g = [digs[:, :, j].astype(self._dtype)
+                       for j in range(field.e)]
 
     def zeros(self, msgs):
         """Zero-coordinate count per row for a (b, k) batch of codes."""
         F = self.field
         if F.e == 1:
-            res = (msgs.astype(np.float32) @ self._g).astype(np.int64) % F.p
+            res = (msgs.astype(self._dtype) @ self._g).astype(np.int64) % F.p
             return np.count_nonzero(res == 0, axis=1)
         mdig = F.codes_to_digits(msgs)  # (b, k, e)
-        mcols = [mdig[:, :, i].astype(np.float32) for i in range(F.e)]
+        mcols = [mdig[:, :, i].astype(self._dtype) for i in range(F.e)]
         return self._zeros_ext(mcols, F.e, F.p)
 
     def _zeros_ext(self, mcols, e, p):
@@ -172,11 +178,12 @@ class _WeightEngine:
 class ToricCode:
     field: object
     polytope: Polytope
-    exponents: tuple       # monomial basis: lattice points of P, sorted
+    exponents: tuple       # all lattice points of P, sorted
     matrix: np.ndarray     # k x n full-rank generator (element codes)
     n: int
     k: int
     injective: bool
+    row_exponents: tuple = ()  # lattice point of each row; () if unknown
 
 
 @dataclass(frozen=True)
@@ -213,51 +220,88 @@ def build_code(P, q):
     gen = evals[basis]
     return ToricCode(field=field, polytope=P, exponents=tuple(pts),
                      matrix=gen, n=grid.shape[0], k=len(basis),
-                     injective=injective)
+                     injective=injective,
+                     row_exponents=tuple(pts[i] for i in basis))
 
 
 # ---------------------------------------------------------------------------
 # minimum-weight engines
 
-def _message_batches(q, k, lead, chunk):
-    """Projective messages with first nonzero coordinate ``lead`` (set to
-    1), remaining coordinates sweeping lexicographically, in chunks."""
-    free = k - lead - 1
-    total = q ** free
-    place = np.array([q ** (free - 1 - j) for j in range(free)],
-                     dtype=object if q ** free > 2 ** 62 else np.int64)
+def _message_batches(q, k, frame, free, chunk):
+    """Messages of length k, in chunks: the ``frame`` coordinates run
+    through the nonzero 0/1 patterns, the ``free`` coordinates through
+    F_q lexicographically (last one fastest), all others are 0."""
+    total = (2 ** len(frame) - 1) * q ** len(free)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = np.zeros((idx.size, k), dtype=np.int64)
-        msgs[:, lead] = 1
-        for j in range(free):
-            msgs[:, lead + 1 + j] = (idx // int(place[j])) % q
+        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        msgs = np.zeros((rest.size, k), dtype=np.int64)
+        for c in reversed(free):
+            msgs[:, c] = rest % q
+            rest = rest // q
+        rest = rest + 1  # pattern index, 1 .. 2^|frame| - 1
+        for c in reversed(frame):
+            msgs[:, c] = rest & 1
+            rest = rest >> 1
         yield msgs
 
 
-def exhaustive_cost(q, k, n):
-    """Coordinate updates needed by the exhaustive sweep."""
-    return (q ** k - 1) // (q - 1) * n
+def _sweep_plan(code):
+    """Levels (frame, free) of the exhaustive sweep, and its cost.
+
+    A frame is a greedy set of at most m+1 of the rows left on which the
+    rescalings reach every nonzero value pattern; its level sweeps the
+    nonzero 0/1 patterns on it with the free rows, the other rows left,
+    over F_q.  One-row frames give the projective sweep.
+    """
+    q = code.field.q
+    exps = code.row_exponents or ((),) * code.k  # then lambda alone acts
+    width = len(exps[0]) + 1
+    left, levels = list(range(code.k)), []
+    while left:
+        frame = []
+        for r in left:
+            if len(frame) == width:
+                break
+            # rows (1, a): the invariant factors must be units mod q-1
+            S, _, _ = smith_normal_form(
+                [[1] + [x % (q - 1) for x in exps[i]] for i in frame + [r]])
+            if all(gcd(S[j][j], q - 1) == 1 for j in range(len(frame) + 1)):
+                frame.append(r)
+        left = [r for r in left if r not in frame]
+        levels.append((frame, left))
+    return levels, exhaustive_cost(q, code.k, code.n,
+                                   [len(f) for f, _ in levels])
+
+
+def exhaustive_cost(q, k, n, frames=None):
+    """Coordinate updates of an exhaustive sweep with the given frame
+    sizes per level; the default, k frames of one row, is the projective
+    sweep of (q^k - 1)/(q - 1) messages."""
+    total = 0
+    for f in frames or [1] * k:
+        k -= f
+        total += (2 ** f - 1) * q ** k
+    return total * n
 
 
 def min_weight_exhaustive(code, early_stop=None):
-    """Exact minimum weight by projective codeword enumeration.
+    """Exact minimum weight by a sweep over the rescaling-orbit strata.
 
     ``early_stop``: return as soon as a weight at most this value is
     seen.  Raises BudgetExceeded when the sweep would perform more than
     BUDGET coordinate updates.
     """
     q, k, n = code.field.q, code.k, code.n
-    if exhaustive_cost(q, k, n) > BUDGET:
+    levels, cost = _sweep_plan(code)
+    if cost > BUDGET:
         raise BudgetExceeded(
-            f"exhaustive sweep needs {exhaustive_cost(q, k, n):.2e} "
-            f"coordinate updates (budget {BUDGET:.0e}); use BZ "
-            "(min_weight_bz)")
+            f"exhaustive sweep needs {cost:.2e} coordinate updates "
+            f"(budget {BUDGET:.0e}); use BZ (min_weight_bz)")
     engine = _WeightEngine(code.field, code.matrix)
     chunk = max(1, _CHUNK_COORDS // n)
     best = n
-    for lead in range(k):
-        for msgs in _message_batches(q, k, lead, chunk):
+    for frame, free in levels:
+        for msgs in _message_batches(q, k, frame, free, chunk):
             w = n - engine.zeros(msgs).max()
             if w < best:
                 best = int(w)
@@ -271,33 +315,29 @@ def _information_sets(field, gen):
 
     Returns a list of (columns, deficiency): each set has k columns whose
     submatrix is invertible; ``deficiency`` counts columns borrowed from
-    earlier sets once fresh columns run out of rank.
+    earlier sets once fresh columns run out of rank.  A set is the pivot
+    columns of the unused columns, completed by those of the used ones.
     """
     k, n = gen.shape
     used = np.zeros(n, dtype=bool)
     sets = []
     while True:
-        cols = _row_reduce(field, list(gen[:, ~used].T))
-        fresh = np.flatnonzero(~used)[cols]
+        unused = np.flatnonzero(~used)
+        fresh = unused[_row_reduce(field, gen[:, unused].T)]
         if fresh.size == 0:
             break
-        chosen = list(fresh)
-        if len(chosen) < k:
-            # complete to an invertible k-subset with already-used columns
-            for c in np.flatnonzero(used):
-                trial = chosen + [int(c)]
-                if len(_row_reduce(field, list(gen[:, trial].T))) == len(trial):
-                    chosen = trial
-                    if len(chosen) == k:
-                        break
-            if len(chosen) < k:
+        chosen = fresh
+        if fresh.size < k:
+            cols = np.concatenate([fresh, np.flatnonzero(used)])
+            chosen = cols[_row_reduce(field, gen[:, cols].T)]
+            if chosen.size < k:
                 break
         sets.append((tuple(int(c) for c in chosen), k - fresh.size))
         used[fresh] = True
     return sets
 
 
-def min_weight_bz(code, verbose=False):
+def min_weight_bz(code):
     """Exact minimum weight via enumeration by information weight.
 
     For each disjoint information set, codewords are generated from
@@ -321,7 +361,7 @@ def min_weight_bz(code, verbose=False):
     for w in range(1, k + 1):
         for done, (engine, _) in enumerate(systems):
             for supp in combinations(range(k), w):
-                for vals in _message_batches(q, w, 0, chunk):
+                for vals in _message_batches(q, w, [0], range(1, w), chunk):
                     live = vals[np.all(vals != 0, axis=1)]
                     if live.size == 0:
                         continue
@@ -331,9 +371,6 @@ def min_weight_bz(code, verbose=False):
             lower = sum(max(0, w + 1 - d) for _, d in systems[:done + 1])
             lower += sum(max(0, w - d) for _, d in systems[done + 1:])
             if lower >= best:
-                if verbose:
-                    print(f"bz: stop at w={w}, set {done + 1}/{len(systems)},"
-                          f" bound {lower} >= best {best}")
                 return best
     return best
 
@@ -345,7 +382,7 @@ def min_weight(code, engine="auto", early_stop=None):
         return min_weight_bz(code)
     if engine != "auto":
         raise ValueError("engine must be auto, exhaustive, or bz")
-    if exhaustive_cost(code.field.q, code.k, code.n) <= BUDGET:
+    if _sweep_plan(code)[1] <= BUDGET:
         return min_weight_exhaustive(code, early_stop=early_stop)
     return min_weight_bz(code)
 

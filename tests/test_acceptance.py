@@ -184,6 +184,19 @@ def test_criterion_09_code_table_fast():
             assert B.gv_max_d(n, 8, q) == v
 
 
+def test_criterion_09_large_fields_exhaustive():
+    # the long-tier BZ values below, from the orbit-reduced sweep
+    with criterion(9, "code parameter table, large fields (exhaustive)"):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name, q, expected in (("P8", 9, 392), ("P8", 11, 861),
+                                      ("Q8", 9, 416), ("Q8", 11, 850)):
+                code = tc.build_code(named_polytope(name), q)
+                assert tc.min_weight(code, engine="exhaustive") == \
+                    expected, (name, q)
+
+
 @pytest.mark.long
 def test_criterion_09_long_code_table():
     with criterion(9, "code parameter table, large fields (long)"):

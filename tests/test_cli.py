@@ -158,6 +158,16 @@ class TestBounds:
     def test_missing_arguments(self):
         assert cli.run(["bounds"]) == 2
 
+    @pytest.mark.parametrize("q", ["1", "6", "x"])
+    def test_formula_q_not_a_prime_power(self, capsys, q):
+        rc = cli.run(["bounds", "--formula", "special_bound",
+                      "--args", "cls=T0", f"q={q}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_table1_passes(self, capsys):
@@ -195,3 +205,36 @@ class TestUsage:
     def test_threads_flag_accepted(self, capsys):
         rc, out = run_json(capsys, ["--threads", "1", "info", "@S1"])
         assert rc == 0 and out["points"] == 4
+
+    def test_threads_flag_after_subcommand(self, capsys):
+        rc, out = run_json(capsys, ["info", "@S1", "--threads", "1"])
+        assert rc == 0 and out["points"] == 4
+
+
+_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreadSettings:
+    @pytest.fixture
+    def inherited(self, monkeypatch):
+        monkeypatch.delenv("TORIC3_THREADS", raising=False)
+        for var in _POOLS:
+            monkeypatch.setenv(var, "4")
+        return monkeypatch
+
+    def pools(self):
+        import os
+        return [os.environ[var] for var in _POOLS]
+
+    def test_flag_overrides_inherited(self, inherited, capsys):
+        assert cli.run(["info", "@S1", "--threads", "1"]) == 0
+        assert self.pools() == ["1", "1", "1"]
+
+    def test_env_overrides_inherited(self, inherited, capsys):
+        inherited.setenv("TORIC3_THREADS", "2")
+        assert cli.run(["info", "@S1"]) == 0
+        assert self.pools() == ["2", "2", "2"]
+
+    def test_inherited_kept_without_setting(self, inherited, capsys):
+        assert cli.run(["info", "@S1"]) == 0
+        assert self.pools() == ["4", "4", "4"]

@@ -1,6 +1,11 @@
+import dataclasses
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from conftest import random_polytope
 from toric3 import toriccode as tc
 from toric3.catalog import named_polytope
 from toric3.geometry import convex_hull
@@ -41,6 +46,41 @@ class TestGfLinearAlgebra:
             tc._gf_inv(F, np.zeros((2, 2), dtype=np.int64))
 
 
+def scalar_zeros(F, msgs, G):
+    """Zero count per message row of m @ G with scalar field operations."""
+    out = []
+    for m in msgs:
+        count = 0
+        for j in range(G.shape[1]):
+            acc = 0
+            for i in range(G.shape[0]):
+                acc = F.add(acc, F.mul(int(m[i]), int(G[i, j])))
+            count += acc == 0
+        out.append(count)
+    return out
+
+
+def build_quietly(P, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # widths beyond q - 2
+        return tc.build_code(P, q)
+
+
+def oracle_polytope(rng, kind, q):
+    """A small random polytope: full-dimensional, lower-dimensional in
+    Z^3, in Z^2, or with two lattice points equal mod q - 1."""
+    if kind == "wide":
+        u = [(1, 0, 0), (1, 1, 0), (1, -1, 1), (0, 1, 2)][rng.integers(4)]
+        apex = [(0, 0, 1)] if rng.integers(2) else []
+        return convex_hull([(0, 0, 0), tuple((q - 1) * x for x in u)]
+                           + apex)
+    P = random_polytope(rng, count=int(rng.integers(2, 6)), box=2,
+                        ambient=2 if kind == "planar" else 3)
+    if kind == "flat":
+        return convex_hull([(x, y, x + y) for x, y, _ in P.vertices])
+    return P
+
+
 class TestWeightEngine:
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
     def test_matches_scalar_field_ops(self, rng, q):
@@ -57,6 +97,24 @@ class TestWeightEngine:
                     acc = F.add(acc, F.mul(int(msgs[row, i]), int(G[i, j])))
                 count += acc == 0
             assert count == int(zeros[row])
+
+    def test_exact_past_float32_range(self, rng):
+        # column 0: 16 * 1030 * 1018 + 823 = 1031 * 16273, an odd zero of
+        # GF(1031) above 2^24, which float32 rounds to an even nonzero
+        F = make_field(1031)
+        G = rng.integers(0, 1031, size=(17, 6)).astype(np.int64)
+        G[:, 0] = [1018] * 16 + [823]
+        msgs = rng.integers(0, 1031, size=(4, 17)).astype(np.int64)
+        msgs[0] = [1030] * 16 + [1]
+        zeros = tc._WeightEngine(F, G).zeros(msgs)
+        assert list(zeros) == scalar_zeros(F, msgs, G)
+        assert zeros[0] >= 1
+
+    def test_inexact_even_in_float64_raises(self):
+        # k (p-1)^2 > 2^53: no float product is exact
+        field = SimpleNamespace(q=2 ** 21, p=2 ** 21, e=1)
+        with pytest.raises(ValueError, match="not exact"):
+            tc._WeightEngine(field, np.zeros((2 ** 11 + 1, 1), np.int64))
 
 
 class TestBuildCode:
@@ -116,6 +174,36 @@ class TestMinWeight:
             code = tc.build_code(named_polytope("P8"), 5)
         assert tc.min_weight_exhaustive(code, early_stop=64) <= 64
 
+    def test_orbit_reduction_matches_projective_sweep(self, rng):
+        # row exponents stripped: one-row frames, the projective sweep
+        reduced = 0
+        for q in (4, 5, 7, 8, 9):
+            # a non-injective code has q points on a line, too many to
+            # sweep unreduced at q = 8, 9
+            kinds = ("solid", "flat", "planar") + ("wide",) * (q <= 7)
+            for kind in kinds * 2:
+                while True:
+                    code = build_quietly(oracle_polytope(rng, kind, q), q)
+                    plain = dataclasses.replace(code, row_exponents=())
+                    if tc._sweep_plan(plain)[1] <= 3 * 10 ** 7:
+                        break
+                assert len(code.row_exponents) == code.k
+                assert code.injective == (kind != "wide")
+                assert tc.min_weight_exhaustive(code) == \
+                    tc.min_weight_exhaustive(plain), (q, kind, code.exponents)
+                reduced += len(tc._sweep_plan(code)[0]) < code.k
+        assert reduced >= 20
+
+    def test_cost_of_frame_sizes(self):
+        for q, k, n in ((2, 5, 1), (5, 8, 64), (9, 11, 512)):
+            assert tc.exhaustive_cost(q, k, n) == (q ** k - 1) // (q - 1) * n
+        assert tc.exhaustive_cost(7, 8, 216, [4, 4]) == (15 * 7 ** 4 + 15) * 216
+        with pytest.warns(UserWarning):
+            code = tc.build_code(named_polytope("P8"), 7)
+        levels, cost = tc._sweep_plan(code)
+        assert [len(f) for f, _ in levels] == [4, 4]
+        assert cost == tc.exhaustive_cost(7, 8, 216, [4, 4])
+
     def test_budget_guard(self):
         P = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
         code = tc.build_code(P, 7)  # k = 20: sweep is out of budget
@@ -129,7 +217,71 @@ class TestMinWeight:
         assert tc.min_weight(code) == 36
 
 
+def greedy_rows(F, rows):
+    """Row-by-row greedy independent subset (the elimination oracle)."""
+    pivots, basis = [], []
+    for idx, r in enumerate(rows):
+        r = np.array(r, dtype=np.int64)
+        for col, pr in pivots:
+            if r[col] != 0:
+                r = tc._vec_sub(F, r, tc._vec_scale(F, int(r[col]), pr))
+        nz = np.flatnonzero(r)
+        if nz.size:
+            col = int(nz[0])
+            pivots.append((col, tc._vec_scale(F, F.inv(int(r[col])), r)))
+            basis.append(idx)
+    return basis
+
+
+def greedy_information_sets(F, gen):
+    """Information sets chosen one column at a time with ``greedy_rows``."""
+    k, n = gen.shape
+    used = np.zeros(n, dtype=bool)
+    sets = []
+    while True:
+        fresh = np.flatnonzero(~used)[greedy_rows(F, list(gen[:, ~used].T))]
+        if fresh.size == 0:
+            break
+        chosen = list(fresh)
+        for c in np.flatnonzero(used):
+            if len(chosen) == k:
+                break
+            trial = chosen + [int(c)]
+            if len(greedy_rows(F, list(gen[:, trial].T))) == len(trial):
+                chosen = trial
+        if len(chosen) < k:
+            break
+        sets.append((tuple(int(c) for c in chosen), k - fresh.size))
+        used[fresh] = True
+    return sets
+
+
 class TestInformationSets:
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_row_reduce_matches_greedy(self, rng, q):
+        F = make_field(q)
+        for _ in range(20):
+            rows = rng.integers(0, q, size=(int(rng.integers(1, 9)), 7))
+            rows[rng.random(rows.shape) < 0.5] = 0  # force dependences
+            assert tc._row_reduce(F, list(rows)) == greedy_rows(F, list(rows))
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_same_sets_as_column_greedy(self, rng, q):
+        F = make_field(q)
+        for _ in range(4):
+            code = random_code(rng, F, k=int(rng.integers(2, 6)),
+                               n=int(rng.integers(6, 30)))
+            # sparse columns make later sets borrow used columns
+            G = code.matrix.copy()
+            G[:, rng.random(code.n) < 0.3] = 0
+            G[:, :code.k] = code.matrix[:, :code.k]
+            assert tc._information_sets(F, G) == \
+                greedy_information_sets(F, G)
+        if q <= 5:  # the oracle is slow on the longer codes
+            code = tc.build_code(named_polytope("T1"), q)
+            assert tc._information_sets(F, code.matrix) == \
+                greedy_information_sets(F, code.matrix)
+
     def test_disjoint_and_invertible(self, rng):
         F = make_field(5)
         code = random_code(rng, F, k=4, n=18)
