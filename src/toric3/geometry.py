@@ -10,14 +10,20 @@ rows are a basis of the lattice aff(P) & Z^n, and a lattice point p has
 the integer coordinates V^T (p - origin), whose last n - dim entries
 vanish exactly on aff(P).  Relative normalized volumes are therefore
 integers.
+
+Affine unimodular equivalence compares one normal form per polytope: over
+the affine bases of vertices of least |det|, the least sorted vertex
+image under the map that puts the basis into Hermite normal form (see
+``_normal_form``).  Equal keys decide equivalence, and the maps that
+attain a key supply the witnesses and the candidate linear parts of
+tuple equivalence.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 import numpy as np
 
@@ -105,47 +111,29 @@ def mat_transpose(M):
     return tuple(zip(*M))
 
 
+def _adjugate(M):
+    """Adjugate of a square integer matrix of size <= 3:
+    adj(M) M = det(M) I."""
+    n = len(M)
+    if n == 1:
+        return ((1,),)
+    if n == 2:
+        (a, b), (c, e) = M
+        return ((e, -b), (-c, a))
+
+    def cof(r, c):  # cofactor of M[r][c]; cyclic indices carry the sign
+        r1, r2, c1, c2 = (r + 1) % 3, (r + 2) % 3, (c + 1) % 3, (c + 2) % 3
+        return M[r1][c1] * M[r2][c2] - M[r1][c2] * M[r2][c1]
+
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
 def mat_inverse_unimodular(M):
     """Exact inverse of an integer matrix with determinant +-1."""
     d = mat_det(M)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    n = len(M)
-    if n == 1:
-        return ((d,),)
-    if n == 2:
-        a, b = M[0]
-        c, e = M[1]
-        return tuple(tuple(x * d for x in row)
-                     for row in ((e, -b), (-c, a)))
-    # adjugate for 3x3
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [[M[r][c] for c in range(3) if c != j]
-                   for r in range(3) if r != i]
-            cof[i][j] = (-1) ** (i + j) * (sub[0][0] * sub[1][1]
-                                           - sub[0][1] * sub[1][0])
-    return tuple(tuple(cof[j][i] * d for j in range(3)) for i in range(3))
-
-
-def solve_rational(M, b):
-    """Solve M x = b exactly over the rationals (M square, invertible)."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(b[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return tuple(A[i][n] for i in range(n))
+    return tuple(tuple(x * d for x in row) for row in _adjugate(M))
 
 
 def int_rank(vectors):
@@ -447,7 +435,7 @@ class Polytope:
     """
 
     __slots__ = ("ambient", "dim", "vertices", "facets", "_origin", "_frame",
-                 "_coframe", "_inner", "_points", "__weakref__")
+                 "_coframe", "_inner", "_points", "_nf", "__weakref__")
 
     def __init__(self, ambient, dim, vertices, facets=None, origin=None,
                  frame=None, coframe=None, inner=None):
@@ -460,6 +448,7 @@ class Polytope:
         self._coframe = coframe
         self._inner = inner
         self._points = None
+        self._nf = None
 
     def __eq__(self, other):
         return (isinstance(other, Polytope)
@@ -761,8 +750,13 @@ class RationalHalfSpaceSystem:
         return all(vdot(n, x) >= b for n, b in self.inequalities)
 
     def _bounding_box(self):
-        """Exact bounding box via rational vertex enumeration, or None for
-        an empty region.
+        """Exact bounding box of the region's vertices, or None for an
+        empty region.
+
+        Each vertex solves n of the equations; by Cramer's rule it is
+        x = adj(M) b / det(M), so with det(M) > 0 it satisfies
+        <normal, x> >= bound iff <normal, adj(M) b> >= bound det(M), and
+        its floor and ceiling come from integer division.
 
         Raises ValueError when some x != 0 has <normal, x> >= 0 for every
         inequality: the region is then unbounded, or empty with an
@@ -773,22 +767,21 @@ class RationalHalfSpaceSystem:
         n = len(ineqs[0][0])
         if _recedes([nv for nv, _ in ineqs], n):
             raise ValueError("unbounded region")
-        verts = []
-        for combo in itertools.combinations(range(len(ineqs)), n):
-            M = [list(ineqs[i][0]) for i in combo]
-            b = [ineqs[i][1] for i in combo]
-            try:
-                x = solve_rational(M, b)
-            except ValueError:
+        verts = []  # (adj(M) b, det(M)) with det(M) > 0
+        for combo in itertools.combinations(ineqs, n):
+            M = [nv for nv, _ in combo]
+            det = mat_det(M)
+            if det == 0:
                 continue
-            if all(sum(Fraction(c) * xi for c, xi in zip(nv, x)) >= bv
-                   for nv, bv in ineqs):
-                verts.append(x)
+            y = mat_vec(_adjugate(M), [bv for _, bv in combo])
+            if det < 0:
+                det, y = -det, vneg(y)
+            if all(vdot(nv, y) >= bv * det for nv, bv in ineqs):
+                verts.append((y, det))
         if not verts:
             return None  # empty region
-        los = [min(v[i] for v in verts) for i in range(n)]
-        his = [max(v[i] for v in verts) for i in range(n)]
-        return [floor(x) for x in los], [ceil(x) for x in his]
+        return ([min(y[i] // d for y, d in verts) for i in range(n)],
+                [max(-(-y[i] // d) for y, d in verts) for i in range(n)])
 
     def integer_points(self):
         box = self._bounding_box()
@@ -809,121 +802,118 @@ class RationalHalfSpaceSystem:
 
 
 # ---------------------------------------------------------------------------
-# AGL(n, Z)-equivalence
+# AGL(n, Z)-equivalence by an affine normal form
 
-def _affinely_independent_tuple(P):
-    """First dim+1 affinely independent vertices in canonical order."""
-    verts = P.vertices
-    chosen = [verts[0]]
-    dirs = []
-    for p in verts[1:]:
-        d = vsub(p, chosen[0])
-        if int_rank(dirs + [d]) > len(dirs):
-            dirs.append(d)
-            chosen.append(p)
-        if len(dirs) == P.dim:
-            break
-    return chosen
+def _hnf_transform(D):
+    """The unimodular U with U D in Hermite normal form, for D square and
+    nonsingular: U D is upper triangular with a positive diagonal and
+    0 <= (U D)[i][j] < (U D)[j][j] for i < j, which makes U unique."""
+    d = len(D)
+    rows = [list(D[i]) + [int(i == j) for j in range(d)] for i in range(d)]
+
+    def reduce(i, j):  # row i -= floor(rows[i][j] / rows[j][j]) * row j
+        f = rows[i][j] // rows[j][j]
+        rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+
+    for j in range(d):
+        while True:  # Euclid on column j from the diagonal down
+            live = [i for i in range(j, d) if rows[i][j]]
+            p = min(live, key=lambda i: abs(rows[i][j]))
+            rows[j], rows[p] = rows[p], rows[j]
+            if len(live) == 1:
+                break
+            for i in range(j + 1, d):
+                reduce(i, j)
+        if rows[j][j] < 0:
+            rows[j] = [-x for x in rows[j]]
+        for i in range(j):
+            reduce(i, j)
+    return tuple(tuple(row[d:]) for row in rows)
 
 
-def _solve_linear_map(src_dirs, dst_dirs, n):
-    """Unimodular integer matrix M with M s_j = d_j, or None.
+def _normal_form(P):
+    """(key, maps): the affine normal form of P and the maps onto it.
 
-    src_dirs must span R^n; overdetermined inputs are checked for
-    consistency on the first n independent sources and verified after.
+    For a full-dimensional P in Z^d, every ordered affine basis
+    (v_0, ..., v_d) of vertices with minimal |det(v_i - v_0)| gives the map
+    x -> U (x - v_0), U the Hermite transform of the columns v_i - v_0; the
+    key is the least sorted image of the vertices under these maps, and
+    ``maps`` holds every map that attains it.  A unimodular x -> A x + b
+    turns each U into U A^-1 and so keeps every candidate image: the key
+    is an invariant, and ``maps`` is the set of all maps of P onto
+    conv(key).  A lower-dimensional P takes the key of ``_inner`` and
+    lifts its maps through the frame to maps of Z^n that carry P onto
+    conv(key) x {0}; a point's key is ((),).  Computed once per polytope.
     """
-    src = list(src_dirs)
-    dst = list(dst_dirs)
-    base_idx = []
-    for i, s in enumerate(src):
-        if int_rank([src[j] for j in base_idx] + [s]) > len(base_idx):
-            base_idx.append(i)
-        if len(base_idx) == n:
-            break
-    if len(base_idx) < n:
-        return None
-    A = [list(src[i]) for i in base_idx]  # rows are source vectors
-    rows = []
-    for i in range(n):
-        # row m_i of M satisfies  <m_i, s_j> = d_j[i]  for each source s_j
-        rhs = [dst[j][i] for j in base_idx]
-        sol = solve_rational(A, rhs)
-        if any(s.denominator != 1 for s in sol):
-            return None
-        rows.append(tuple(int(s) for s in sol))
-    M = tuple(rows)
-    if mat_det(M) not in (1, -1):
-        return None
-    if any(mat_vec(M, s) != tuple(d) for s, d in zip(src, dst)):
-        return None
-    return M
+    if P._nf is not None:
+        return P._nf
+    n = P.ambient
+    if P.dim == 0:
+        P._nf = ((),), (UnimodularMap(mat_identity(n), vneg(P.vertices[0])),)
+    elif P.dim < n:
+        key, inner_maps = _normal_form(P._inner)
+        d = P.dim
+        maps = []
+        for psi in inner_maps:
+            # x -> (psi(c), 0) for c the first d frame coordinates of x
+            block = tuple(tuple(psi.matrix[i][j] if i < d and j < d
+                                else int(i == j) for j in range(n))
+                          for i in range(n))
+            M = mat_mul(block, P._coframe)
+            t = psi.translation + (0,) * (n - d)
+            maps.append(UnimodularMap(M, vsub(t, mat_vec(M, P._origin))))
+        P._nf = key, tuple(maps)
+    else:
+        verts = P.vertices
+        least, simplices = None, []
+        for simplex in itertools.combinations(verts, n + 1):
+            det = abs(mat_det([vsub(v, simplex[0]) for v in simplex[1:]]))
+            if det and (least is None or det < least):
+                least, simplices = det, [simplex]
+            elif det == least:
+                simplices.append(simplex)
+        key, found = None, []
+        for basis in itertools.chain.from_iterable(
+                map(itertools.permutations, simplices)):
+            v0 = basis[0]
+            U = _hnf_transform(mat_transpose([vsub(v, v0) for v in basis[1:]]))
+            image = tuple(sorted(mat_vec(U, vsub(v, v0)) for v in verts))
+            if key is None or image < key:
+                key, found = image, [(U, v0)]
+            elif image == key:
+                found.append((U, v0))
+        P._nf = key, tuple(UnimodularMap(U, vneg(mat_vec(U, v0)))
+                           for U, v0 in found)
+    return P._nf
 
 
 def equivalent(P, Q):
     """Witness affine unimodular map with phi(P) = Q, or None.
 
-    Deterministic: the first witness in the canonical enumeration order
-    (sorted vertex tuples) is returned.
+    P and Q are equivalent iff their normal forms have the same key.  The
+    witness is then phi_Q^-1 o phi_P for phi_P and phi_Q the first maps of
+    P and of Q onto it, first in the order of their affine bases
+    (combinations of the sorted vertices, then their orderings).
     """
     if P.ambient != Q.ambient:
         raise ValueError("dimension mismatch")
     if P.dim != Q.dim or len(P.vertices) != len(Q.vertices):
         return None
-    if P.n_points != Q.n_points:
+    key_p, maps_p = _normal_form(P)
+    key_q, maps_q = _normal_form(Q)
+    if key_p != key_q:
         return None
-    n = P.ambient
-    if P.dim < P.ambient:
-        # reduce to the intrinsic full-dimensional polytopes and lift
-        if P.dim == 0:
-            return UnimodularMap(mat_identity(n),
-                                 vsub(Q.vertices[0], P.vertices[0]))
-        innerP, innerQ = P._inner, Q._inner
-        if P.dim == 1:
-            if normalized_volume(P) != normalized_volume(Q):
-                return None
-            loP = min(v[0] for v in innerP.vertices)
-            loQ = min(v[0] for v in innerQ.vertices)
-            inner_map = UnimodularMap(((1,),), (loQ - loP,))
-        else:
-            inner_map = equivalent(innerP, innerQ)
-        if inner_map is None:
-            return None
-        # x = origin + F^T c for the frames F (rows of V^-1), so M maps
-        # F_P^T c to F_Q^T block c; (F_P^T)^-1 is P's coframe V_P^T
-        d = P.dim
-        Md = inner_map.matrix
-        block = tuple(tuple(Md[i][j] if i < d and j < d else int(i == j)
-                            for j in range(n)) for i in range(n))
-        M = mat_mul(mat_mul(mat_transpose(Q._frame), block), P._coframe)
-        # translation: match one vertex pair through the intrinsic map
-        p0 = P.vertices[0]
-        q0 = Q._embed(inner_map(P._coords(p0)[:d]))
-        t = vsub(q0, mat_vec(M, p0))
-        phi = UnimodularMap(M, t)
-        if tuple(sorted(phi(v) for v in P.vertices)) == Q.vertices:
-            return phi
-        return None
-
-    src = _affinely_independent_tuple(P)
-    src_dirs = [vsub(p, src[0]) for p in src[1:]]
-    qverts = Q.vertices
-    for tup in itertools.permutations(qverts, n + 1):
-        dst_dirs = [vsub(t, tup[0]) for t in tup[1:]]
-        M = _solve_linear_map(src_dirs, dst_dirs, n)
-        if M is None:
-            continue
-        t = vsub(tup[0], mat_vec(M, src[0]))
-        phi = UnimodularMap(M, t)
-        if tuple(sorted(phi(v) for v in P.vertices)) == qverts:
-            return phi
-    return None
+    return maps_q[0].inverse().compose(maps_p[0])
 
 
 def tuple_equivalent(Ps, Qs):
     """Shared-linear-part equivalence of polytope tuples.
 
     Returns (phi, translations) with phi(P_i) + v_i = Q_i for all i, where
-    phi has translation 0, or None.
+    phi has translation 0, or None.  The linear part of phi carries a
+    full-dimensional pivot onto its partner: the first full-dimensional
+    P_i, else the Minkowski sum of the P_i.  The candidates are therefore
+    the maps of the pivot onto the partner's normal form.
     """
     if len(Ps) != len(Qs):
         raise ValueError("tuple length mismatch")
@@ -937,62 +927,31 @@ def tuple_equivalent(Ps, Qs):
             return None
         if P.n_points != Q.n_points:
             return None
-
-    # build a frame of n independent directions, drawn greedily from the
-    # polytopes in order
-    frame = []  # (polytope index, direction)
-    for i, P in enumerate(Ps):
-        base = P.vertices[0]
-        for v in P.vertices[1:]:
-            d = vsub(v, base)
-            if int_rank([f[1] for f in frame] + [d]) > len(frame):
-                frame.append((i, d))
-            if len(frame) == n:
-                break
-        if len(frame) == n:
-            break
-    if len(frame) < n:
-        raise ValueError("degenerate tuple: directions do not span R^n")
-
-    used = sorted({i for i, _ in frame})
-    # for each used polytope, enumerate ordered vertex tuples of Q_i as
-    # images of (base, base + d...) positions
-    per_poly_positions = {}
-    for i in used:
-        base = Ps[i].vertices[0]
-        pos = [base] + [vadd(base, d) for j, d in frame if j == i]
-        per_poly_positions[i] = pos
-
-    def candidate_maps():
-        choices = []
-        for i in used:
-            npos = len(per_poly_positions[i])
-            choices.append(list(itertools.permutations(Qs[i].vertices, npos)))
-        for combo in itertools.product(*choices):
-            src_dirs, dst_dirs = [], []
-            for i, imgs in zip(used, combo):
-                pos = per_poly_positions[i]
-                for k in range(1, len(pos)):
-                    src_dirs.append(vsub(pos[k], pos[0]))
-                    dst_dirs.append(vsub(imgs[k], imgs[0]))
-            M = _solve_linear_map(src_dirs, dst_dirs, n)
-            if M is not None:
-                yield M
-
-    for M in candidate_maps():
-        phi = UnimodularMap(M, (0,) * n)
+    k = next((i for i, P in enumerate(Ps) if P.dim == n), None)
+    if k is not None:
+        pivot, partner = Ps[k], Qs[k]
+    else:
+        pivot, partner = Ps[0], Qs[0]
+        for P, Q in zip(Ps[1:], Qs[1:]):
+            pivot, partner = minkowski_sum(pivot, P), minkowski_sum(partner, Q)
+        if pivot.dim < n:
+            raise ValueError("degenerate tuple: directions do not span R^n")
+    key_p, maps_p = _normal_form(pivot)
+    key_q, maps_q = _normal_form(partner)
+    if key_p != key_q:
+        return None
+    back = mat_inverse_unimodular(maps_q[0].matrix)
+    for psi in maps_p:
+        M = mat_mul(back, psi.matrix)
         translations = []
-        good = True
         for P, Q in zip(Ps, Qs):
-            mp = sorted(phi(v) for v in P.vertices)
-            qv = list(Q.vertices)
-            shift = vsub(qv[0], mp[0])
-            if [vadd(v, shift) for v in mp] != qv:
-                good = False
+            image = sorted(mat_vec(M, v) for v in P.vertices)
+            shift = vsub(Q.vertices[0], image[0])
+            if any(vadd(v, shift) != q for v, q in zip(image, Q.vertices)):
                 break
             translations.append(shift)
-        if good:
-            return phi, tuple(translations)
+        else:
+            return UnimodularMap(M, (0,) * n), tuple(translations)
     return None
 
 
@@ -1012,16 +971,12 @@ def shape_predicates(P):
     pts = P.lattice_points
     verts = set(P.vertices)
     if P.dim < P.ambient:
-        inner = P._inner if P._inner is not None else P
         if P.dim == 0:
             return ShapeInfo(True, True, 0, 1, 0)
         if P.dim == 1:
-            bnd = 2
-            interior = len(pts) - 2
-            return ShapeInfo(len(pts) == 2, len(pts) == 2, interior, bnd,
-                             len(inner.facets or ()))
-        info = shape_predicates(inner)
-        return info
+            return ShapeInfo(len(pts) == 2, len(pts) == 2, len(pts) - 2, 2,
+                             len(P._inner.facets))
+        return shape_predicates(P._inner)
     facets = P.facets
     boundary = 0
     interior = 0

@@ -21,9 +21,9 @@ import numpy as np
 
 from .catalog import named_polytope
 from .geometry import (Polytope, RationalHalfSpaceSystem, canonical_sign,
-                       convex_hull, equivalent, erode, is_primitive,
-                       minkowski_sum, normalized_volume, tuple_equivalent,
-                       vadd, vneg, vsub)
+                       convex_hull, cross, equivalent, erode, is_primitive,
+                       minkowski_sum, primitive, tuple_equivalent, vadd,
+                       vneg, vsub)
 
 _BIG = 1 << 60
 
@@ -210,7 +210,6 @@ def good_polytope(P, bound=14):
     if P.dim == P.ambient:
         normals = [n for n, _ in P.facets]
     elif P.ambient == 3 and P.dim == 2:
-        from .geometry import cross, primitive
         b1, b2 = P._frame[:2]
         plane_normal = primitive(cross(b1, b2))
         inner = P._inner
@@ -231,16 +230,12 @@ def good_polytope(P, bound=14):
     return RationalHalfSpaceSystem(ineqs)
 
 
-def _t0_reference():
-    return named_polytope("T0")
-
-
 def find_segments(P, target_L, bound=None, search=None):
     """All canonical primitive u in the good-polytope region of P with
     L(P + [0, u]) = target_L."""
     if bound is None:
         bound = 14
-        if P.dim == 2 and equivalent(P, _t0_reference()) is not None:
+        if P.dim == 2 and equivalent(P, named_polytope("T0")) is not None:
             bound = 2
     cs = search if search is not None else _ChainSearch()
     region = good_polytope(P, bound)
@@ -259,7 +254,7 @@ def unit_triangle_segment_sweep(rmax, triangle="unit"):
     if triangle == "unit":
         T = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     elif triangle == "T0":
-        T = _t0_reference()
+        T = named_polytope("T0")
     else:
         raise ValueError("triangle must be 'unit' or 'T0'")
     cs = _ChainSearch()
@@ -403,15 +398,21 @@ _TRIPLE_CATALOG = (
 
 
 def _match_tuple(polys, catalog):
+    """The first catalog label whose members match polys in some order,
+    and its witness (phi, translations): UnimodularMap(phi.matrix, t_i)
+    carries polys[i] onto a member of the label.  An order is tried only
+    when each member is equivalent to its catalog partner."""
     for label, names in catalog:
         refs = [named_polytope(n) for n in names]
-        for perm in sorted(set(itertools.permutations(range(len(polys))))):
-            cand = [polys[i] for i in perm]
-            if any(c.n_points != r.n_points for c, r in zip(cand, refs)):
+        fits = [[equivalent(P, R) is not None for R in refs] for P in polys]
+        for perm in itertools.permutations(range(len(polys))):
+            if not all(fits[i][j] for j, i in enumerate(perm)):
                 continue
-            wit = tuple_equivalent(cand, refs)
+            wit = tuple_equivalent([polys[i] for i in perm], refs)
             if wit is not None:
-                return label, wit
+                phi, shifts = wit  # shifts follow the order perm
+                return label, (phi, tuple(shifts[perm.index(i)]
+                                          for i in range(len(polys))))
     return None, None
 
 

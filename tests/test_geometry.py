@@ -1,19 +1,20 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from conftest import (random_affine_map, random_points, random_polytope,
                       random_unimodular)
+from toric3.catalog import named_polytope
 from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
-                             ambient_vol3, convex_hull, equivalent, erode,
-                             int_rank, lattice_points, lattice_width,
-                             mat_det, mat_mul, minkowski_sum, mixed_area,
-                             normalized_volume, shape_predicates,
-                             smith_normal_form, solve_rational,
-                             tuple_equivalent, vadd, vdot, vol2,
-                             width_in_direction)
+                             _normal_form, ambient_vol3, convex_hull,
+                             equivalent, erode, int_rank, lattice_points,
+                             lattice_width, mat_det, mat_mul, minkowski_sum,
+                             mixed_area, normalized_volume, shape_predicates,
+                             smith_normal_form, tuple_equivalent, vadd, vdot,
+                             vol2, width_in_direction)
 
 
 UNIT_CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -153,11 +154,6 @@ class TestHullOracle:
 
 
 class TestExactLinearAlgebra:
-    def test_solve_rational(self):
-        M = ((2, 1), (1, 3))
-        sol = solve_rational(M, (5, 10))
-        assert sol == (Fraction(1), Fraction(3))
-
     def test_int_rank(self):
         assert int_rank([(1, 2, 3), (2, 4, 6), (0, 0, 1)]) == 2
         assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
@@ -301,6 +297,27 @@ class TestHalfSpaceSystem:
         assert sys.contains((1, 5, -7))
         assert not sys.contains((3, 0, 0))
 
+    def test_integer_points_against_scan(self, rng):
+        # random bounded systems around the origin: every point of a wide
+        # scan box that satisfies the system is found, and nothing else
+        done = 0
+        while done < 120:
+            n = 2 + done % 2
+            system = RationalHalfSpaceSystem(
+                [(tuple(int(x) for x in rng.integers(-3, 4, size=n)),
+                  int(rng.integers(-6, 1)))
+                 for _ in range(int(rng.integers(n + 1, 8)))])
+            try:
+                pts = system.integer_points()
+            except ValueError:
+                continue
+            r = 24 if n == 2 else 10
+            scan = {p for p in itertools.product(range(-r, r + 1), repeat=n)
+                    if system.contains(p)}
+            assert all(system.contains(p) for p in pts)
+            assert scan <= set(pts)
+            done += 1
+
     def test_unbounded_region_raises(self):
         octant = RationalHalfSpaceSystem(
             [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)])
@@ -372,6 +389,194 @@ class TestEquivalence:
                             (P2, Q2, translations[1])):
                 moved = UnimodularMap(psi.matrix, t).apply_polytope(P)
                 assert set(moved.vertices) == set(Q.vertices)
+
+
+def _det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j in range(len(M)))
+
+
+def _minor_gcd(B):
+    """gcd of the maximal minors of the n x d matrix with columns B: the
+    index of the lattice they span in the saturated lattice of their span."""
+    g = 0
+    for rows in itertools.combinations(range(len(B[0]) if B else 0), len(B)):
+        g = gcd(g, _det([[b[r] for b in B] for r in rows]))
+    return g
+
+
+def brute_force_maps(P, Q):
+    """The number of affine lattice isomorphisms aff(P) & Z^n ->
+    aff(Q) & Z^n that carry P onto Q, independently of the normal form.
+
+    A fixed affinely independent tuple p_0..p_d of P's vertices goes to
+    every ordered vertex tuple q_0..q_d of Q by the rational affine map
+    f(p_0 + B_P c) = q_0 + B_Q c.  f is counted when it maps the vertices
+    of P onto those of Q, both tuples span sublattices of the same index,
+    and f is integral on the lattice points of P (and, for d = n, on
+    p_0 + e_k).  For d <= 2 the lattice points of P contain a unimodular
+    simplex, so integrality there and equal indices make f a lattice
+    isomorphism; for d = n, integral f with equal |det| is unimodular.
+    """
+    if P.dim != Q.dim or len(P.vertices) != len(Q.vertices):
+        return 0
+    n, d = P.ambient, P.dim
+
+    def diffs(tup):
+        return [[a - b for a, b in zip(v, tup[0])] for v in tup[1:]]
+
+    base = [P.vertices[0]]
+    for v in P.vertices[1:]:
+        if len(base) <= d and int_rank(diffs(base + [v])) == len(base):
+            base.append(v)
+    B_P = diffs(base)
+    index = _minor_gcd(B_P)
+    rows = next(r for r in itertools.combinations(range(n), d)
+                if _det([[b[i] for b in B_P] for i in r]))
+    A = [[b[i] for b in B_P] for i in rows]
+    det_a = _det(A)
+
+    def coords(x):  # c with B_P c = x - p_0, by Cramer's rule
+        y = [x[i] - base[0][i] for i in rows]
+        return [Fraction(_det([row[:j] + [y[k]] + row[j + 1:]
+                               for k, row in enumerate(A)]), det_a)
+                for j in range(d)]
+
+    probes = list(lattice_points(P))
+    if d == n:
+        probes += [tuple(base[0][i] + (i == k) for i in range(n))
+                   for k in range(n)]
+    vc = [coords(v) for v in P.vertices]
+    pc = [coords(x) for x in probes]
+    count = 0
+    for tup in itertools.permutations(Q.vertices, d + 1):
+        B_Q = diffs(tup)
+        if _minor_gcd(B_Q) != index:
+            continue
+
+        def f(c):
+            return tuple(tup[0][i] + sum(cj * b[i] for cj, b in zip(c, B_Q))
+                         for i in range(n))
+
+        if sorted(f(c) for c in vc) != list(Q.vertices):
+            continue
+        if all(x.denominator == 1 for c in pc for x in f(c)):
+            count += 1
+    return count
+
+
+def nf_sample(rng, kind, ambient):
+    """A random polytope of the given kind: 'point', 'segment', 'flat' (a
+    polygon on a tilted plane of Z^3) or 'full'."""
+    while True:
+        if kind == "flat":
+            base = random_points(rng, int(rng.integers(3, 7)), 3, ambient=2)
+            phi = UnimodularMap(random_unimodular(rng, shears=3), (0, 0, 0))
+            pts = [phi((x, y, 0)) for x, y in base]
+        else:
+            count = {"point": 1, "segment": 2}.get(kind,
+                                                   int(rng.integers(3, 8)))
+            pts = random_points(rng, count, 3, ambient=ambient, low=-1)
+        P = convex_hull(pts)
+        if P.dim == {"point": 0, "segment": 1, "flat": 2}.get(kind, ambient):
+            return P
+
+
+NF_KINDS = [("point", 2), ("point", 3), ("segment", 2), ("segment", 3),
+            ("flat", 3), ("full", 2), ("full", 3)]
+
+
+def padded_key(P):
+    key = _normal_form(P)[0]
+    return tuple(k + (0,) * (P.ambient - len(k)) for k in key)
+
+
+class TestNormalForm:
+    def test_against_vertex_tuple_search(self, rng):
+        # 1,050 pairs: half transported, half fresh of the same kind and
+        # with the same vertex count where one turns up in a few tries
+        seen = {True: 0, False: 0}
+        for i in range(1050):
+            kind, ambient = NF_KINDS[i % len(NF_KINDS)]
+            P = nf_sample(rng, kind, ambient)
+            if i % 2:
+                Q = random_affine_map(rng, ambient).apply_polytope(P)
+            else:
+                for _ in range(6):
+                    Q = nf_sample(rng, kind, ambient)
+                    if len(Q.vertices) == len(P.vertices):
+                        break
+            phi = equivalent(P, Q)
+            expect = brute_force_maps(P, Q) > 0
+            assert (phi is not None) == expect
+            if phi is not None:
+                assert phi.apply_polytope(P) == Q
+            seen[expect] += 1
+        assert seen[True] > 500 and seen[False] > 200
+
+    def test_white_tetrahedra_of_equal_volume(self):
+        # Tab:a,b = conv{e1, e2, e3, (a, b, 1)} is empty of volume a + b;
+        # equal volumes need not be equivalent
+        tets = [(a, b) for a in range(7) for b in range(1, 8)
+                if gcd(a, b) == 1 and 4 <= a + b <= 8]
+        outcomes = set()
+        for (a, b), (c, e) in itertools.combinations(tets, 2):
+            if a + b != c + e:
+                continue
+            P = named_polytope(f"Tab:{a},{b}")
+            Q = named_polytope(f"Tab:{c},{e}")
+            phi = equivalent(P, Q)
+            assert (phi is not None) == (brute_force_maps(P, Q) > 0)
+            if phi is not None:
+                assert phi.apply_polytope(P) == Q
+            outcomes.add(phi is not None)
+        assert outcomes == {True, False}
+
+    def test_key_invariant_and_maps_onto_key(self, rng):
+        for i in range(140):
+            kind, ambient = NF_KINDS[i % len(NF_KINDS)]
+            P = nf_sample(rng, kind, ambient)
+            Q = random_affine_map(rng, ambient).apply_polytope(P)
+            assert _normal_form(Q)[0] == _normal_form(P)[0]
+            maps = _normal_form(P)[1]
+            for psi in maps:
+                assert tuple(sorted(map(psi, P.vertices))) == padded_key(P)
+            # the maps are all the maps onto the key, one per automorphism
+            assert len(maps) == brute_force_maps(P, P)
+
+    def test_tuple_without_full_dimensional_member(self, rng):
+        # no member spans Z^3, so the Minkowski sum is the pivot
+        tuples = [
+            [[(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0)],
+             [(0, 0, 0), (0, 0, 1)]],
+            [[(0, 0, 0), (2, 1, 0)], [(0, 0, 0), (1, 0, 0), (0, 0, 1)]],
+            [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+             [(0, 0, 0), (0, 1, 1), (0, 2, 1)]],
+            [[(0, 0, 0), (0, 0, 3)], [(1, 1, 1), (1, 2, 1), (3, 1, 1)]],
+        ]
+        for pts in tuples:
+            Ps = [convex_hull(p) for p in pts]
+            assert all(P.dim < 3 for P in Ps)
+            for _ in range(6):
+                phi = random_affine_map(rng)
+                shifts = [tuple(int(x) for x in rng.integers(-3, 4, size=3))
+                          for _ in Ps]
+                Qs = [UnimodularMap(phi.matrix, t).apply_polytope(P)
+                      for P, t in zip(Ps, shifts)]
+                psi, translations = tuple_equivalent(Ps, Qs)
+                for P, Q, t in zip(Ps, Qs, translations):
+                    assert UnimodularMap(psi.matrix, t).apply_polytope(P) == Q
+        # equal member keys, but no shared map: unit cube vs a parallelepiped
+        units = [convex_hull([(0, 0, 0), e]) for e in
+                 ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2))]
+        assert tuple_equivalent(units[:3], units[:3]) is not None
+        assert tuple_equivalent(units[:3], units[:2] + units[3:]) is None
+        # a segment and a triangle in one plane: the sum is flat
+        flat = units[:1] + [convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])]
+        with pytest.raises(ValueError, match="degenerate"):
+            tuple_equivalent(flat, flat)
 
 
 class TestUnimodularMap:

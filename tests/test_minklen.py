@@ -2,7 +2,8 @@ import pytest
 
 from conftest import random_affine_map, random_polytope
 from toric3.catalog import named_polytope
-from toric3.geometry import convex_hull, equivalent, lattice_points, minkowski_sum
+from toric3.geometry import (UnimodularMap, convex_hull, equivalent,
+                             lattice_points, minkowski_sum)
 from toric3.minklen import (add_tetra_huh, add_triangle_huh, classify_pair,
                             classify_triple, find_segments, find_tetra,
                             find_triangles, good_polytope, is_dps,
@@ -200,6 +201,38 @@ class TestClassifyTriple:
         K1 = named_polytope("K1")
         S1 = named_polytope("S1")
         assert classify_triple(K1, K1, S1).label == "length!=3"
+
+
+class TestClassificationWitness:
+    """The witness (phi, translations) of a label carries input i onto a
+    catalog member of the label by UnimodularMap(phi.matrix, t_i)."""
+
+    M = ((1, 2, 0), (0, 1, 0), (1, 1, 1))  # det 1
+
+    def check(self, names, inputs, res, label):
+        assert res.label == label
+        phi, shifts = res.witness
+        assert len(shifts) == len(inputs)
+        moved = [UnimodularMap(phi.matrix, t).apply_polytope(P)
+                 for P, t in zip(inputs, shifts)]
+        assert sorted(P.vertices for P in moved) == \
+            sorted(named_polytope(n).vertices for n in names)
+
+    def moved(self, names, shifts):
+        return [UnimodularMap(self.M, t).apply_polytope(named_polytope(n))
+                for n, t in zip(names, shifts)]
+
+    def test_pair_in_reverse_catalog_order(self):
+        S2, S1 = self.moved(("S2", "S1"), ((3, 0, -1), (-2, 5, 1)))
+        self.check(("S1", "S2"), (S2, S1), classify_pair(S2, S1), "(S1,S2)")
+        plain = (named_polytope("S2"), named_polytope("S1"))
+        self.check(("S1", "S2"), plain, classify_pair(*plain), "(S1,S2)")
+
+    def test_triples_out_of_catalog_order(self):
+        for names, label in ((("S2", "S1", "S2"), "(ii)"),
+                             (("S2", "S2", "E"), "(iv)")):
+            inputs = self.moved(names, ((1, 0, 0), (0, -3, 2), (4, 1, -1)))
+            self.check(names, inputs, classify_triple(*inputs), label)
 
 
 class TestSweeps:
