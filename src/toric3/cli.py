@@ -154,7 +154,9 @@ def _cmd_tetra(args):
 def _classification_payload(res):
     out = {"label": res.label, "length": res.length}
     if res.witness is not None:
-        out["witness"] = _jsonable(res.witness)
+        phi, shifts = res.witness
+        out["witness"] = [{"matrix": phi.matrix,
+                           "translation": phi.translation}, shifts]
     return out
 
 

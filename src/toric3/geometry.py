@@ -1,15 +1,15 @@
 """Exact integer lattice geometry in dimensions 2 and 3.
 
 Hulls and coordinates use Python ints only.  A full-dimensional hull in
-Z^3 comes from one exact incremental hull; numpy filters the lattice
-points of a bounding box (int64; coordinates stay far below overflow at
-the scales this library targets).  A lower-dimensional polytope carries
-an integer affine frame: with U A V = S the Smith normal form of its
-difference vectors A, the rows of V^-1 form the frame, its first dim
-rows are a basis of the lattice aff(P) & Z^n, and a lattice point p has
-the integer coordinates V^T (p - origin), whose last n - dim entries
-vanish exactly on aff(P).  Relative normalized volumes are therefore
-integers.
+Z^3 comes from one exact incremental hull; numpy enumerates its lattice
+points in columns over the box of the first n - 1 coordinates (int64;
+coordinates stay far below overflow at the scales this library targets).
+A lower-dimensional polytope carries an integer affine frame: with
+U A V = S the Smith normal form of its difference vectors A, the rows of
+V^-1 form the frame, its first dim rows are a basis of the lattice
+aff(P) & Z^n, and a lattice point p has the integer coordinates V^T
+(p - origin), whose last n - dim entries vanish exactly on aff(P).
+Relative normalized volumes are therefore integers.
 
 Affine unimodular equivalence compares one normal form per polytope: over
 the affine bases of vertices of least |det|, the least sorted vertex
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -475,17 +475,26 @@ class Polytope:
         if self.dim < self.ambient:
             inner_pts = self._inner.lattice_points
             return tuple(sorted(self._embed(c) for c in inner_pts))
-        arr = np.array(self.vertices, dtype=np.int64)
-        lo = arr.min(axis=0)
-        hi = arr.max(axis=0)
+        # the facets cut each column to an integer interval of the last axis
+        F = np.array([n + (o,) for n, o in self.facets], dtype=np.int64)
+        V = np.array(self.vertices, dtype=np.int64)
+        lo, hi = V.min(axis=0), V.max(axis=0)
         axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64)
-                for i in range(self.ambient)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        box = np.stack([g.ravel() for g in grids], axis=1)
-        normals = np.array([n for n, _ in self.facets], dtype=np.int64)
-        offs = np.array([o for _, o in self.facets], dtype=np.int64)
-        ok = np.all(box @ normals.T >= offs, axis=1)
-        return tuple(sorted(map(tuple, box[ok].tolist())))
+                for i in range(self.ambient - 1)]
+        cols = np.empty((prod(map(len, axes)), len(axes)), dtype=np.int64)
+        cols[:, 0] = np.repeat(axes[0], len(cols) // len(axes[0]))
+        if len(axes) == 2:
+            cols[:, 1] = np.tile(axes[1], len(axes[0]))
+        rhs = F[:, -1] - cols @ F[:, :-2].T  # n_z z >= rhs on each facet
+        nz = F[:, -2]
+        up, down = nz > 0, nz < 0  # both nonempty: P is bounded
+        zlo = (-(-rhs[:, up] // nz[up])).max(axis=1)
+        zhi = (rhs[:, down] // nz[down]).min(axis=1)
+        count = np.maximum(zhi - zlo + 1, 0)
+        count[(rhs[:, nz == 0] > 0).any(axis=1)] = 0
+        col = np.repeat(np.arange(len(cols)), count)
+        z = np.arange(len(col)) + (zlo - np.cumsum(count) + count)[col]
+        return tuple(map(tuple, np.column_stack([cols[col], z]).tolist()))
 
     def _embed(self, c):
         """The point origin + sum_i c_i frame_i of aff(P)."""

@@ -10,22 +10,30 @@ points.  Fitting is tested by erosion chains: the zonotope
 a + sum_{i in A} u_i over subsets A fits in the point set S iff iterated
 erosion of S by u_1, ..., u_L is nonempty; erosions commute, so direction
 multisets, not sequences, matter.
+
+The search runs on point sets packed once per query into Python ints, w
+bits per coordinate relative to the min corner, with w the larger of 21
+and one more than the bit length of the largest coordinate spread.  Then
+packing keeps lex order, erosion by u is a membership test on x + u, the
+candidate directions are the sorted positive packed differences, and the
+memo key of a set is (n, w, its translate with min 0): queries with
+spreads below 2^20 share one width and so their memo classes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import lshift
 
 from .catalog import named_polytope
 from .geometry import (Polytope, RationalHalfSpaceSystem, canonical_sign,
-                       convex_hull, cross, equivalent, erode, is_primitive,
-                       minkowski_sum, primitive, tuple_equivalent, vadd,
-                       vneg, vsub)
+                       convex_hull, cross, equivalent, minkowski_sum,
+                       primitive, tuple_equivalent, vadd, vneg, vsub)
 
 _BIG = 1 << 60
+_WIDTH = 21  # least bits per packed coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -59,54 +67,69 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# erosion-chain search
+# erosion-chain search over packed point sets
 
-def _norm_key(S):
-    m = min(S)
-    return frozenset(vsub(x, m) for x in S)
+def _pack(points):
+    """(frame, S): x in points becomes sum_i (x_i - lo_i) 2^(w (n-1-i)) in
+    S, with lo the min corner of the points and frame = (n, w, lo)."""
+    cols = list(zip(*points))
+    lo = tuple(map(min, cols))
+    spread = max(max(c) - m for c, m in zip(cols, lo))
+    w = max(_WIDTH, spread.bit_length() + 1)
+    n = len(lo)
+    shifts = [w * (n - 1 - i) for i in range(n)]
+    base = sum(map(lshift, lo, shifts))
+    S = frozenset([sum(map(lshift, p, shifts)) - base for p in points])
+    return (n, w, lo), S
 
 
-def _candidate_dirs(S):
-    """Canonical primitive difference vectors realized in S, sorted.
+def _vector(frame, d):
+    """The vector of a packed difference d, or of a packed point d
+    relative to lo: digits in (-2^(w-1), 2^(w-1)) decode uniquely."""
+    n, w = frame[0], frame[1]
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = ((d + half) & mask) - half
+        d = (d - out[i]) >> w
+    return tuple(out)
 
-    Erosion of S by any one of these is guaranteed nonempty."""
-    arr = np.array(sorted(S), dtype=np.int64)
-    n = arr.shape[1]
-    d = (arr[None, :, :] - arr[:, None, :]).reshape(-1, n)
-    # keep the lex-positive representative of each +-pair
-    lexpos = d[:, 0] > 0
-    zero = d[:, 0] == 0
-    for j in range(1, n):
-        lexpos |= zero & (d[:, j] > 0)
-        zero &= d[:, j] == 0
-    d = d[lexpos]
-    prim = np.gcd.reduce(np.abs(d), axis=1) == 1
-    d = np.unique(d[prim], axis=0)
-    return [tuple(v) for v in d.tolist()]
+
+def _directions(frame, S):
+    """Packed canonical primitive difference vectors realized in S, in
+    lex order of the vectors.  Erosion of S by any one of them is
+    nonempty."""
+    diffs = {b - a for a, b in itertools.combinations(sorted(S), 2)}
+    for d in sorted(diffs):
+        if math.gcd(*_vector(frame, d)) == 1:
+            yield d
 
 
 class _ChainSearch:
     """Memoized search for erosion chains over translation classes of
-    point sets.  Shared across queries so repeated sweeps reuse state."""
+    packed point sets.  Shared across queries so repeated sweeps reuse
+    state."""
 
     def __init__(self):
         self.proved = {}   # key -> largest chain length proven to exist
         self.refuted = {}  # key -> smallest chain length proven impossible
 
-    def reach(self, S, need):
-        """True iff an erosion chain of length ``need`` leaves S nonempty."""
+    def reach(self, frame, S, need):
+        """True iff an erosion chain of length ``need`` leaves the packed
+        set S nonempty."""
         if need <= 0:
             return True
         if len(S) <= need:
             return False
-        key = _norm_key(S)
+        m = min(S)
+        key = (frame[0], frame[1], frozenset([x - m for x in S]))
         if self.proved.get(key, 0) >= need:
             return True
         if self.refuted.get(key, _BIG) <= need:
             return False
-        for u in _candidate_dirs(S):
-            S2 = erode(S, u)
-            if len(S2) > need - 1 and self.reach(S2, need - 1):
+        for u in _directions(frame, S):
+            S2 = {x for x in S if x + u in S}
+            if len(S2) > need - 1 and self.reach(frame, S2, need - 1):
                 if self.proved.get(key, 0) < need:
                     self.proved[key] = need
                 return True
@@ -118,7 +141,7 @@ class _ChainSearch:
 def _points(P):
     if isinstance(P, Polytope):
         return set(P.lattice_points)
-    return set(tuple(p) for p in P)
+    return set(tuple(map(int, p)) for p in P)  # Python ints: packing shifts
 
 
 def minkowski_length(P, search=None):
@@ -127,20 +150,21 @@ def minkowski_length(P, search=None):
     if len(pts) == 1:
         return 0, Decomposition((), min(pts))
     cs = search if search is not None else _ChainSearch()
+    frame, S = _pack(pts)
     L = 0
-    while cs.reach(pts, L + 1):
+    while cs.reach(frame, S, L + 1):
         L += 1
     # greedy certificate reconstruction along proven-feasible branches
     dirs = []
-    S = pts
     for k in range(L, 0, -1):
-        for u in _candidate_dirs(S):
-            S2 = erode(S, u)
-            if len(S2) > k - 1 and cs.reach(S2, k - 1):
-                dirs.append(u)
+        for u in _directions(frame, S):
+            S2 = {x for x in S if x + u in S}
+            if len(S2) > k - 1 and cs.reach(frame, S2, k - 1):
+                dirs.append(_vector(frame, u))
                 S = S2
                 break
-    cert = Decomposition(tuple(sorted(dirs)), min(S))
+    anchor = vadd(frame[2], _vector(frame, min(S)))
+    cert = Decomposition(tuple(sorted(dirs)), anchor)
     assert cert.verify(pts)
     return L, cert
 
@@ -151,21 +175,15 @@ def has_length_at_most(P, k, search=None):
     if len(pts) == 1:
         return k >= 0
     cs = search if search is not None else _ChainSearch()
-    return not cs.reach(pts, k + 1)
+    return not cs.reach(*_pack(pts), k + 1)
 
 
 def is_dps(P):
     """Distinct pair-sums test: all sums x + y over lattice points x <= y
     are distinct; equivalent to L(P) = 1 for positive-dimensional P."""
-    pts = sorted(_points(P))
-    seen = set()
-    for i, x in enumerate(pts):
-        for y in pts[i:]:
-            s = vadd(x, y)
-            if s in seen:
-                return False
-            seen.add(s)
-    return True
+    S = sorted(_pack(_points(P))[1])  # digit sums stay below 2^w
+    sums = [x + y for i, x in enumerate(S) for y in S[i:]]
+    return len(set(sums)) == len(sums)
 
 
 def maximal_segment_decompositions(P, search=None):
@@ -176,22 +194,25 @@ def maximal_segment_decompositions(P, search=None):
         return []
     cs = search if search is not None else _ChainSearch()
     L, _ = minkowski_length(pts, cs)
+    frame, S = _pack(pts)
     out = []
 
-    def dfs(S, prefix, last):
+    def dfs(S, prefix):
         depth = len(prefix)
         if depth == L:
-            out.append(Decomposition(tuple(prefix), min(S)))
+            out.append(Decomposition(
+                tuple(_vector(frame, u) for u in prefix),
+                vadd(frame[2], _vector(frame, min(S)))))
             return
         rest = L - depth - 1
-        for u in _candidate_dirs(S):
-            if last is not None and u < last:
+        for u in _directions(frame, S):
+            if prefix and u < prefix[-1]:
                 continue
-            S2 = erode(S, u)
-            if len(S2) > rest and cs.reach(S2, rest):
-                dfs(S2, prefix + [u], u)
+            S2 = {x for x in S if x + u in S}
+            if len(S2) > rest and cs.reach(frame, S2, rest):
+                dfs(S2, prefix + [u])
 
-    dfs(pts, [], None)
+    dfs(S, [])
     return sorted(out, key=lambda d: (d.directions, d.anchor))
 
 
@@ -242,8 +263,9 @@ def find_segments(P, target_L, bound=None, search=None):
     out = []
     for u in region.primitive_points():
         Q = minkowski_sum(P, convex_hull([(0,) * P.ambient, u]))
-        pts = set(Q.lattice_points)
-        if cs.reach(pts, target_L) and not cs.reach(pts, target_L + 1):
+        frame, S = _pack(Q.lattice_points)
+        if cs.reach(frame, S, target_L) \
+                and not cs.reach(frame, S, target_L + 1):
             out.append(u)
     return out
 
@@ -264,11 +286,10 @@ def unit_triangle_segment_sweep(rmax, triangle="unit"):
             break
         for p in range(r + 1):
             for q in range(r + 1):
-                if np.gcd.reduce([p, q, r]) != 1:
+                if math.gcd(p, q, r) != 1:
                     continue
                 Q = minkowski_sum(T, convex_hull([(0, 0, 0), (p, q, r)]))
-                pts = set(Q.lattice_points)
-                if not cs.reach(pts, 3):
+                if not cs.reach(*_pack(Q.lattice_points), 3):
                     best = r
                     break
             if best == r:
@@ -279,41 +300,41 @@ def unit_triangle_segment_sweep(rmax, triangle="unit"):
 # ---------------------------------------------------------------------------
 # triangle / tetrahedron assembly
 
-def _normalize_translation(verts):
-    m = min(verts)
-    return tuple(sorted(vsub(v, m) for v in verts))
+def _find_summands(P, k, search):
+    """The k-lattice-point polytopes conv(0, a_1, ..., a_{k-1}) with every
+    edge a find_segments direction of P, L(T) = 1 and L(P + T) = 2, one
+    per translation class, sorted by vertices."""
+    cs = search if search is not None else _ChainSearch()
+    segs = find_segments(P, 2, search=cs)
+    dirset = set(segs)  # primitive vectors only
+    signed = segs + [vneg(u) for u in segs]
+    seen = set()
+    out = []
+    for rest in itertools.combinations(signed, k - 1):
+        pts = ((0,) * P.ambient,) + rest
+        if any(canonical_sign(vsub(y, x)) not in dirset
+               for x, y in itertools.combinations(pts, 2)):
+            continue
+        m = min(pts)
+        key = tuple(sorted(vsub(v, m) for v in pts))
+        if key in seen:
+            continue
+        seen.add(key)
+        T = convex_hull(key)
+        if T.n_points != k or len(T.vertices) != k:
+            continue
+        if minkowski_length(T, cs)[0] != 1:
+            continue
+        if not cs.reach(*_pack(minkowski_sum(P, T).lattice_points), 3):
+            out.append(T)
+    return sorted(out, key=lambda T: T.vertices)
 
 
 def find_triangles(P, search=None):
     """All lattice triangles T (one vertex at the translation-normal
     position) built from find_segments directions with L(T) = 1 and
     L(P + T) = 2, deduplicated up to translation."""
-    cs = search if search is not None else _ChainSearch()
-    segs = find_segments(P, 2, search=cs)
-    dirset = set(segs)
-    signed = segs + [vneg(u) for u in segs]
-    zero = (0,) * P.ambient
-    seen = set()
-    out = []
-    for a, b in itertools.combinations(signed, 2):
-        if a == vneg(b):
-            continue
-        d = vsub(b, a)
-        if not is_primitive(d) or canonical_sign(d) not in dirset:
-            continue
-        key = _normalize_translation((zero, a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        T = convex_hull(key)
-        if T.dim != 2 or T.n_points != 3:
-            continue
-        if minkowski_length(T, cs)[0] != 1:
-            continue
-        pts = set(minkowski_sum(P, T).lattice_points)
-        if not cs.reach(pts, 3):
-            out.append(T)
-    return sorted(out, key=lambda T: T.vertices)
+    return _find_summands(P, 3, search)
 
 
 def add_triangle_huh(P):
@@ -324,38 +345,7 @@ def find_tetra(P, search=None):
     """All 4-lattice-point polytopes T (tetrahedra, possibly degenerate)
     built from find_segments directions with L(T) = 1 and L(P + T) = 2,
     deduplicated up to translation."""
-    cs = search if search is not None else _ChainSearch()
-    segs = find_segments(P, 2, search=cs)
-    dirset = set(segs)
-    signed = segs + [vneg(u) for u in segs]
-    zero = (0,) * P.ambient
-    seen = set()
-    out = []
-    for a, b, c in itertools.combinations(signed, 3):
-        pts4 = (zero, a, b, c)
-        if len(set(pts4)) < 4:
-            continue
-        ok = True
-        for x, y in itertools.combinations(pts4, 2):
-            d = vsub(y, x)
-            if not is_primitive(d) or canonical_sign(d) not in dirset:
-                ok = False
-                break
-        if not ok:
-            continue
-        key = _normalize_translation(pts4)
-        if key in seen:
-            continue
-        seen.add(key)
-        T = convex_hull(key)
-        if T.n_points != 4 or len(T.vertices) != 4:
-            continue
-        if minkowski_length(T, cs)[0] != 1:
-            continue
-        pts = set(minkowski_sum(P, T).lattice_points)
-        if not cs.reach(pts, 3):
-            out.append(T)
-    return sorted(out, key=lambda T: T.vertices)
+    return _find_summands(P, 4, search)
 
 
 def add_tetra_huh(P):
@@ -421,8 +411,7 @@ def classify_pair(P, Q, search=None):
     cs = search if search is not None else _ChainSearch()
     if minkowski_length(P, cs)[0] != 1 or minkowski_length(Q, cs)[0] != 1:
         raise ValueError("classify_pair requires L(P) = L(Q) = 1")
-    pts = set(minkowski_sum(P, Q).lattice_points)
-    if cs.reach(pts, 3):
+    if cs.reach(*_pack(minkowski_sum(P, Q).lattice_points), 3):
         return PairClass("length>2", 3)
     if min(P.n_points, Q.n_points) <= 3:
         return PairClass("unclassified-small", 2)
@@ -441,9 +430,9 @@ def classify_triple(P, Q, R, search=None):
             raise ValueError("classify_triple requires at least 4 points each")
         if minkowski_length(X, cs)[0] != 1:
             raise ValueError("classify_triple requires L = 1 summands")
-    pts = set(minkowski_sum(minkowski_sum(P, Q), R).lattice_points)
-    if not (cs.reach(pts, 3) and not cs.reach(pts, 4)):
-        length = 4 if cs.reach(pts, 4) else 2
+    frame, S = _pack(minkowski_sum(minkowski_sum(P, Q), R).lattice_points)
+    if not (cs.reach(frame, S, 3) and not cs.reach(frame, S, 4)):
+        length = 4 if cs.reach(frame, S, 4) else 2
         return TripleClass("length!=3", length)
     label, wit = _match_tuple([P, Q, R], _TRIPLE_CATALOG)
     if label is None:
@@ -472,11 +461,11 @@ def three_segments_width_scan(case, cmax=14):
         found = False
         for b in range(c):
             for a in range(b + 1):
-                if np.gcd.reduce([a, b, c]) != 1:
+                if math.gcd(a, b, c) != 1:
                     continue
                 Q = minkowski_sum(base, convex_hull([(0, 0, 0), (a, b, c)]))
-                pts = set(Q.lattice_points)
-                if cs.reach(pts, 3) and not cs.reach(pts, 4):
+                frame, S = _pack(Q.lattice_points)
+                if cs.reach(frame, S, 3) and not cs.reach(frame, S, 4):
                     found = True
                     break
             if found:

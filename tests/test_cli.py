@@ -3,6 +3,7 @@ import json
 import pytest
 
 from toric3 import cli
+from toric3.catalog import named_polytope
 
 
 def run_json(capsys, argv):
@@ -81,6 +82,34 @@ class TestLengthAndSearches:
     def test_triple(self, capsys):
         rc, out = run_json(capsys, ["triple", "@S1", "@S2", "@S2"])
         assert rc == 0 and out["label"] == "(ii)"
+
+    @pytest.mark.parametrize("names,label", [(("S2", "S1"), "(S1,S2)"),
+                                             (("S2", "E", "S2"), "(iv)")])
+    def test_witness_is_json_and_applies(self, tmp_path, capsys, names,
+                                         label):
+        # inputs moved off the catalog by a shared map with distinct shifts
+        M = ((1, 2, 0), (0, 1, 0), (1, 1, 1))
+        files, inputs = [], []
+        for i, name in enumerate(names):
+            verts = [tuple(sum(a * x for a, x in zip(row, v)) + i * (3 - k)
+                           for k, row in enumerate(M))
+                     for v in named_polytope(name).vertices]
+            f = tmp_path / f"p{i}.json"
+            f.write_text(json.dumps({"vertices": verts}))
+            files.append(str(f))
+            inputs.append(verts)
+        cmd = "pair" if len(names) == 2 else "triple"
+        rc, out = run_json(capsys, [cmd] + files)
+        assert rc == 0 and out["label"] == label
+        phi, shifts = out["witness"]
+        assert sorted(phi) == ["matrix", "translation"]
+        assert len(shifts) == len(names)
+        moved = [sorted(tuple(sum(a * x for a, x in zip(row, v)) + t[k]
+                              for k, row in enumerate(phi["matrix"]))
+                        for v in verts)
+                 for verts, t in zip(inputs, shifts)]
+        assert sorted(moved) == sorted(list(named_polytope(n).vertices)
+                                       for n in names)
 
     def test_pair_precondition(self, capsys):
         # EX72 has length 2, not a valid L = 1 summand

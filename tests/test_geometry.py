@@ -86,6 +86,63 @@ class TestConvexHull:
             done += 1
 
 
+def box_filter_points(P):
+    """Lattice points of a full-dimensional P by filtering its whole
+    bounding box against the facets, in lex order."""
+    ranges = [range(min(v[i] for v in P.vertices),
+                    max(v[i] for v in P.vertices) + 1)
+              for i in range(P.ambient)]
+    return tuple(p for p in itertools.product(*ranges)
+                 if all(vdot(n, p) >= b for n, b in P.facets))
+
+
+def column_oracle_polytopes(rng):
+    """Seeded full-dimensional polytopes in Z^2 and Z^3: random hulls, thin
+    slivers along a long direction, prisms and boxes (facets with n_z = 0),
+    and unit-triangle segment sums T + [0, (p, q, r)] with r <= 20; every
+    third one translated by up to 10^12."""
+    tri = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    out = []
+    while len(out) < 400:
+        ambient, kind = 2 + len(out) % 2, len(out) // 2 % 4
+        if kind == 0:
+            pts = random_points(rng, int(rng.integers(3, 9)), 6, ambient)
+        elif kind == 1:  # a sliver: a long edge and points next to it
+            far = tuple(int(x) for x in rng.integers(-12, 13, ambient))
+            pts = [(0,) * ambient, far] + [
+                vadd(far, tuple(int(x) for x in rng.integers(-1, 2, ambient)))
+                for _ in range(ambient)]
+        elif kind == 2:  # a prism over a polygon, or a rectangle
+            base = random_points(rng, int(rng.integers(3, 7)), 5, 2)
+            h = int(rng.integers(1, 5))
+            pts = ([(x, y, z) for x, y in base for z in (0, h)]
+                   if ambient == 3 else [(0, 0), (h, 0), (0, 4), (h, 4)])
+        elif ambient == 3:  # a long segment sum
+            r = int(rng.integers(1, 21))
+            u = (int(rng.integers(0, r + 1)), int(rng.integers(0, r + 1)), r)
+            pts = minkowski_sum(tri, convex_hull([(0, 0, 0), u])).vertices
+        else:
+            r = int(rng.integers(1, 21))
+            pts = [(0, 0), (1, 0), (0, 1), (int(rng.integers(0, r)), r)]
+        if len(out) % 3 == 2:
+            shift = tuple(int(x) * 10 ** 12 + int(y) for x, y in zip(
+                rng.integers(-1, 2, ambient), rng.integers(-9, 10, ambient)))
+            pts = [vadd(p, shift) for p in pts]
+        P = convex_hull(pts)
+        if P.dim == ambient:
+            out.append(P)
+    return out
+
+
+class TestColumnLatticePoints:
+    def test_against_box_filter(self, rng):
+        vertical = 0
+        for P in column_oracle_polytopes(rng):
+            assert P.lattice_points == box_filter_points(P)
+            vertical += any(n[-1] == 0 for n, _ in P.facets)
+        assert vertical > 50
+
+
 def brute_force_facets(points):
     """Facets of the hull of points spanning R^3, independently of the
     library: every plane through three of the points with all points on

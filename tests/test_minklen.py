@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 
-from conftest import random_affine_map, random_polytope
+from conftest import random_affine_map, random_points, random_polytope
 from toric3.catalog import named_polytope
-from toric3.geometry import (UnimodularMap, convex_hull, equivalent,
-                             lattice_points, minkowski_sum)
-from toric3.minklen import (add_tetra_huh, add_triangle_huh, classify_pair,
-                            classify_triple, find_segments, find_tetra,
-                            find_triangles, good_polytope, is_dps,
+from toric3.geometry import (UnimodularMap, canonical_sign, convex_hull,
+                             equivalent, erode, is_primitive, lattice_points,
+                             minkowski_sum, vadd, vsub)
+from toric3.minklen import (_ChainSearch, add_tetra_huh, add_triangle_huh,
+                            classify_pair, classify_triple, find_segments,
+                            find_tetra, find_triangles, good_polytope,
+                            has_length_at_most, is_dps,
                             maximal_segment_decompositions, minkowski_length,
                             three_segments_width_scan)
 
@@ -239,3 +243,134 @@ class TestSweeps:
     def test_three_segments_cases(self):
         assert three_segments_width_scan(1) == 9
         assert three_segments_width_scan(2) == 4
+
+
+class ReferenceSearch:
+    """Tuple-level erosion-chain search, the oracle of the packed kernel:
+    candidate directions are the sorted canonical primitive differences of
+    the points, erosion is ``geometry.erode`` and the memo is keyed by the
+    translated point set."""
+
+    def __init__(self):
+        self.proved, self.refuted = {}, {}
+
+    @staticmethod
+    def directions(S):
+        return sorted({canonical_sign(vsub(b, a))
+                       for a, b in itertools.permutations(S, 2)
+                       if is_primitive(vsub(b, a))})
+
+    def reach(self, S, need):
+        if need <= 0:
+            return True
+        if len(S) <= need:
+            return False
+        m = min(S)
+        key = frozenset(vsub(x, m) for x in S)
+        if self.proved.get(key, 0) >= need:
+            return True
+        if self.refuted.get(key, 1 << 60) <= need:
+            return False
+        for u in self.directions(S):
+            S2 = erode(S, u)
+            if len(S2) > need - 1 and self.reach(S2, need - 1):
+                self.proved[key] = max(self.proved.get(key, 0), need)
+                return True
+        self.refuted[key] = min(self.refuted.get(key, 1 << 60), need)
+        return False
+
+    def length(self, S):
+        L = 0
+        while self.reach(S, L + 1):
+            L += 1
+        dirs = []
+        for k in range(L, 0, -1):
+            for u in self.directions(S):
+                S2 = erode(S, u)
+                if len(S2) > k - 1 and self.reach(S2, k - 1):
+                    dirs.append(u)
+                    S = S2
+                    break
+        return L, tuple(sorted(dirs)), min(S)
+
+    def decompositions(self, S, L):
+        out = []
+
+        def dfs(S, prefix):
+            if len(prefix) == L:
+                out.append((tuple(prefix), min(S)))
+                return
+            for u in self.directions(S):
+                if prefix and u < prefix[-1]:
+                    continue
+                S2 = erode(S, u)
+                if len(S2) > L - len(prefix) - 1 and \
+                        self.reach(S2, L - len(prefix) - 1):
+                    dfs(S2, prefix + [u])
+
+        dfs(S, [])
+        return sorted(out)
+
+
+def oracle_point_sets(rng):
+    """Seeded point sets in Z^2 and Z^3, most of them polytope lattice
+    points: random hulls, flat ones in Z^3, and copies translated by
+    +-10^12; plus arbitrary clouds."""
+    out = []
+    for i in range(330):
+        ambient = 2 + i % 2
+        box = int(rng.integers(1, 5))
+        pts = random_points(rng, int(rng.integers(2, 8)), box, ambient)
+        kind = i % 5
+        if kind == 1 and ambient == 3:  # flat: a tilted plane in Z^3
+            pts = [(x, y, x + 2 * y) for x, y, _ in pts]
+        if kind == 4:  # an arbitrary cloud, not the points of a polytope
+            S = set(pts)
+        else:
+            S = set(lattice_points(convex_hull(pts)))
+        if i % 3 == 2:
+            shift = tuple(int(rng.choice([-1, 1])) * 10 ** 12
+                          for _ in range(ambient))
+            S = {vadd(p, shift) for p in S}
+        out.append(S)
+    return out
+
+
+class TestPackedChainSearchOracle:
+    """The packed kernel visits the same search as the tuple reference:
+    same lengths, certificates, decompositions and memo sizes."""
+
+    def compare(self, sets):
+        packed, ref = {}, {}
+        for S in sets:
+            n = len(next(iter(S)))
+            cs = packed.setdefault(n, _ChainSearch())
+            rs = ref.setdefault(n, ReferenceSearch())
+            if len(S) == 1:
+                assert minkowski_length(S, cs)[0] == 0
+                continue
+            L, cert = minkowski_length(S, cs)
+            assert (L, cert.directions, cert.anchor) == rs.length(S)
+            decs = maximal_segment_decompositions(S, cs)
+            assert [(d.directions, d.anchor) for d in decs] == \
+                rs.decompositions(S, L)
+            assert has_length_at_most(S, L, cs) and \
+                not has_length_at_most(S, L - 1, cs)
+            assert not rs.reach(S, L + 1) and rs.reach(S, L)
+            assert (len(cs.proved), len(cs.refuted)) == \
+                (len(rs.proved), len(rs.refuted))
+
+    def test_seeded_sets(self, rng):
+        self.compare(oracle_point_sets(rng))
+
+    def test_wide_spread(self):
+        # coordinate spreads of 2^22 and more need a wider packing
+        big = 1 << 22
+        for S in ({(0, 0, 0), (1, big, 0)},
+                  {(-big, 3), (big, 4)},
+                  {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (5, big, 7)},
+                  {vadd(p, t) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+                   for t in [(0, 0, 0), (1, big, 1)]}):
+            self.compare([S])
+        assert minkowski_length({(0, 0, 0), (1, big, 0)})[1].directions \
+            == ((1, big, 0),)
