@@ -67,23 +67,21 @@ def _report_to_dict(report, holds=Ellipsis):
 
 def _parse_poly_file(path, q):
     """One term per line: ``c a1 a2 a3`` with c an integer or ``g^k``."""
-    from .gfq import LaurentPolynomial, make_field
+    from .gfq import LaurentPolynomial, _check_torus, make_field
+    with open(path) as fh:
+        rows = [line.split("#", 1)[0].split() for line in fh]
+    rows = [(r[0], tuple(int(v) for v in r[1:])) for r in rows if r]
+    if rows:  # before the field tables are built
+        _check_torus(q, max(len(e) for _, e in rows))
     field = make_field(q)
     terms = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            c, exps = parts[0], tuple(int(v) for v in parts[1:])
-            if c.startswith("g^"):
-                code = int(field.exp[int(c[2:]) % (field.q - 1)])
-            else:
-                ci = int(c) % field.p
-                code = ci  # prime-subfield elements are the codes 0..p-1
-            if code:
-                terms[exps] = field.add(terms.get(exps, 0), code)
+    for c, exps in rows:
+        if c.startswith("g^"):
+            code = int(field.exp[int(c[2:]) % (field.q - 1)])
+        else:
+            code = int(c) % field.p  # prime-subfield elements: codes 0..p-1
+        if code:
+            terms[exps] = field.add(terms.get(exps, 0), code)
     terms = {e: c for e, c in terms.items() if c}
     if not terms:
         raise ValueError(f"{path}: polynomial is zero")

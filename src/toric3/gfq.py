@@ -9,10 +9,13 @@ of degree e in the base-p integer encoding of its non-leading
 coefficients, and the generator is the smallest element (in the integer
 encoding) of multiplicative order q - 1.
 
-Torus scans are vectorized: a point of (F_q^*)^n is represented by the
-discrete logs of its coordinates, so a monomial x^a evaluates to
-g^(<a, l> mod (q-1)) and whole evaluation matrices come from one integer
-matrix product.
+Torus scans run on the discrete logs l of a point of (F_q^*)^n: a term
+c x^a has log log(c) + sum_i (a_i mod q-1) l_i, read from an exp table
+tiled n+1 times.  Term values add in one int64 per point: XOR of the
+codes in characteristic 2, else base-p digits in b-bit fields, b the bit
+length of (terms)(p-1); when e*b > 63 the fields narrow to 63//e bits
+and are reduced mod p every few terms.  Slabs of whole rows bound the
+scan's memory, and a torus of more than 2^32 points is refused.
 """
 
 from __future__ import annotations
@@ -27,19 +30,11 @@ import numpy as np
 def _factor_prime_power(q):
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = None
-    for cand in range(2, int(q ** 0.5) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return q, 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p = next((c for c in range(2, int(q ** 0.5) + 1) if q % c == 0), q)
+    e = 1
+    while p ** e < q:
         e += 1
-    if m != 1:
+    if p ** e != q:
         raise ValueError(f"{q} is not a prime power")
     return p, e
 
@@ -208,12 +203,19 @@ class FiniteField:
     def digits_to_codes(self, digits):
         return (digits % self.p) @ self._pow_p
 
-    def add_many(self, code_arrays):
-        """Field sum of a list of equal-shape element-code arrays."""
-        total = np.zeros(code_arrays[0].shape + (self.e,), dtype=np.int64)
-        for c in code_arrays:
-            total += self._digit_table[c]
-        return self.digits_to_codes(total)
+    def packed(self, bits):
+        """Code -> its base-p digits in ``bits``-bit fields of one int64
+        (the code itself for bits = 1 in characteristic 2)."""
+        return self._digit_table @ (1 << bits * np.arange(self.e))
+
+    def reduce_packed(self, acc, bits):
+        """Every ``bits``-bit field of packed digit sums, reduced mod p."""
+        if self.p == 2:  # XOR sums carry into no other field
+            return acc
+        out = np.zeros_like(acc)
+        for j in range(self.e):
+            out |= ((acc >> bits * j) & ((1 << bits) - 1)) % self.p << bits * j
+        return out
 
     def __repr__(self):
         return f"FiniteField(q={self.q})"
@@ -236,6 +238,9 @@ class LaurentPolynomial:
 
     @staticmethod
     def make(field, term_map):
+        lengths = sorted({len(a) for a in term_map})
+        if len(lengths) > 1:
+            raise ValueError(f"exponent vectors of mixed lengths {lengths}")
         terms = tuple(sorted((tuple(int(x) for x in a), int(c) % field.q)
                              for a, c in term_map.items() if int(c) % field.q))
         return LaurentPolynomial(field, terms)
@@ -252,34 +257,47 @@ class LaurentPolynomial:
         return not self.terms
 
 
-def _term_value_logs(f, loggrid):
-    """Logs of each term's value on the whole torus: (N, m) int array."""
-    F = f.field
-    exps = np.array([a for a, _ in f.terms], dtype=np.int64) % (F.q - 1)
-    clogs = np.array([int(F.log[c]) for _, c in f.terms], dtype=np.int64)
-    return (loggrid @ exps.T + clogs) % (F.q - 1)
+_SLAB = 1 << 14  # torus points per slab of the zero scan (or one row)
 
 
-def _log_grid(q, n):
-    axes = [np.arange(q - 1, dtype=np.int64)] * n
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _check_torus(q, n):
+    if (q - 1) ** n > 1 << 32:
+        raise ValueError(f"the torus (F_{q}^*)^{n} has more than 2^32 points")
 
 
-def _zero_mask(f):
-    F = f.field
+def _zero_slabs(f):
+    """Zero masks of f on slabs of whole torus rows (set by q and n alone)."""
+    F, N, m = f.field, len(f.terms), f.field.q - 1
     if f.is_zero():
         raise ValueError("zero polynomial")
-    grid = _log_grid(F.q, f.n)
-    vals = F.exp[_term_value_logs(f, grid)]
-    digit_sum = F.codes_to_digits(vals).sum(axis=1)
-    codes = F.digits_to_codes(digit_sum)
-    return codes == 0
+    _check_torus(F.q, f.n)
+    # a constant is scanned on one axis, where it has no zeros either
+    exps = np.array([a or (0,) for a in f.support], dtype=np.int64) % m
+    clog, n = F.log[[c for _, c in f.terms]], exps.shape[1]
+    bits = 1 if F.p == 2 else (N * (F.p - 1)).bit_length()
+    period = N  # terms between reductions mod p, which keep e * bits <= 63
+    if F.e * bits > 63:
+        bits, period = 63 // F.e, (2 ** (63 // F.e) - 1) // (F.p - 1) - 1
+    add = np.bitwise_xor if F.p == 2 else np.add
+    vals = np.tile(F.packed(bits)[F.exp], n + 1)  # logs up to (n+1)(m-1)
+    ar, rows, step = np.arange(m), m ** (n - 1), max(1, _SLAB // m)
+    for r0 in range(0, rows, step):
+        r = np.arange(r0, min(r0 + step, rows))
+        lead = np.repeat(clog[:, None], r.size, axis=1)
+        for i in range(n - 2, -1, -1):  # leading logs, last one fastest
+            r, li = np.divmod(r, m)
+            lead += exps[:, i, None] * li % m
+        acc = np.zeros((r.size, m), dtype=np.int64)
+        for t in range(N):
+            add(acc, vals[lead[t, :, None] + exps[t, -1] * ar % m], out=acc)
+            if (t + 1) % period == 0 or t == N - 1:
+                acc = F.reduce_packed(acc, bits)
+        yield acc == 0
 
 
 def count_zeros(f):
     """N_f: number of zeros of f in the torus (F_q^*)^n, by exact scan."""
-    return int(np.count_nonzero(_zero_mask(f)))
+    return sum(int(np.count_nonzero(z)) for z in _zero_slabs(f))
 
 
 def common_zero_count(f, g):
@@ -287,7 +305,8 @@ def common_zero_count(f, g):
         raise ValueError("fields differ")
     if f.n != g.n:
         raise ValueError("torus dimension mismatch")
-    return int(np.count_nonzero(_zero_mask(f) & _zero_mask(g)))
+    return sum(int(np.count_nonzero(a & b))
+               for a, b in zip(_zero_slabs(f), _zero_slabs(g)))
 
 
 def multiply(f, g):

@@ -34,7 +34,7 @@ from .bounds import (BoundReport, dps_volume_bound, griesmer_max_d, gv_max_d,
                      simplex_bound, width_one_final_bound, char_of)
 from .geometry import (Polytope, lattice_width, normalized_volume,
                        smith_normal_form)
-from .gfq import _log_grid, make_field
+from .gfq import make_field
 from .minklen import minkowski_length
 
 BUDGET = 10_000_000_000  # coordinate updates allowed per exhaustive sweep
@@ -213,13 +213,13 @@ def build_code(P, q):
             stacklevel=2)
     reduced = exps % (q - 1)
     injective = len({tuple(r) for r in reduced}) == len(pts)
-    grid = _log_grid(q, m)                      # (n, m) discrete logs
-    logs = (reduced @ grid.T) % (q - 1)         # (|P|, n)
+    grid = np.indices((q - 1,) * m).reshape(m, -1)  # (m, n) discrete logs
+    logs = (reduced @ grid) % (q - 1)               # (|P|, n)
     evals = field.exp[logs]
     basis = _row_reduce(field, list(evals))
     gen = evals[basis]
     return ToricCode(field=field, polytope=P, exponents=tuple(pts),
-                     matrix=gen, n=grid.shape[0], k=len(basis),
+                     matrix=gen, n=grid.shape[1], k=len(basis),
                      injective=injective,
                      row_exponents=tuple(pts[i] for i in basis))
 
@@ -227,17 +227,17 @@ def build_code(P, q):
 # ---------------------------------------------------------------------------
 # minimum-weight engines
 
-def _message_batches(q, k, frame, free, chunk):
+def _message_batches(q, k, frame, free, chunk, low=0):
     """Messages of length k, in chunks: the ``frame`` coordinates run
-    through the nonzero 0/1 patterns, the ``free`` coordinates through
-    F_q lexicographically (last one fastest), all others are 0."""
-    total = (2 ** len(frame) - 1) * q ** len(free)
+    through the nonzero 0/1 patterns, the ``free`` ones through the codes
+    low..q-1 lexicographically (last one fastest), all others are 0."""
+    total = (2 ** len(frame) - 1) * (q - low) ** len(free)
     for start in range(0, total, chunk):
         rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
         msgs = np.zeros((rest.size, k), dtype=np.int64)
         for c in reversed(free):
-            msgs[:, c] = rest % q
-            rest = rest // q
+            np.add(rest % (q - low), low, out=msgs[:, c])
+            rest = rest // (q - low)
         rest = rest + 1  # pattern index, 1 .. 2^|frame| - 1
         for c in reversed(frame):
             msgs[:, c] = rest & 1
@@ -361,10 +361,8 @@ def min_weight_bz(code):
     for w in range(1, k + 1):
         for done, (engine, _) in enumerate(systems):
             for supp in combinations(range(k), w):
-                for vals in _message_batches(q, w, [0], range(1, w), chunk):
-                    live = vals[np.all(vals != 0, axis=1)]
-                    if live.size == 0:
-                        continue
+                for live in _message_batches(q, w, [0], range(1, w), chunk,
+                                             low=1):
                     msgs = np.zeros((live.shape[0], k), dtype=np.int64)
                     msgs[:, list(supp)] = live
                     best = min(best, int(n - engine.zeros(msgs).max()))

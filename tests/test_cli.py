@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -133,6 +134,54 @@ class TestZeros:
         f = tmp_path / "z.txt"
         f.write_text("5 1 0 0\n")  # 5 = 0 in F_5
         assert cli.run(["zeros", str(f), "--q", "5"]) == 2
+
+    def test_mixed_exponent_lengths(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("1 1 0\n1 0 1 1\n")
+        assert cli.run(["zeros", str(f), "--q", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "mixed lengths [2, 3]" in err[0]
+
+    def test_constant_polynomial(self, tmp_path, capsys):
+        f = tmp_path / "c.txt"
+        f.write_text("3  # a nonzero constant: the 0-torus is one point\n")
+        rc, out = run_json(capsys, ["zeros", str(f), "--q", "5"])
+        assert rc == 0 and out["n_vars"] == 0 and out["N_f"] == 0
+
+    def test_torus_above_2_32_points(self, tmp_path, capsys, monkeypatch):
+        from toric3 import gfq
+
+        def no_field(q):
+            raise AssertionError("field built before the torus guard")
+        monkeypatch.setattr(gfq, "make_field", no_field)
+        f = tmp_path / "b.txt"
+        f.write_text("1 1 0\n1 0 1\n")
+        assert cli.run(["zeros", str(f), "--q", "1048576"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "2^32 points" in err[0]
+
+    def test_large_field_in_bounded_memory(self, tmp_path, capsys):
+        # 1023^2 torus points: a (points, terms, e) digit tensor of all
+        # term values would take 251 MB
+        f = tmp_path / "l.txt"
+        f.write_text("1 1 0\n1 0 1\n1 0 0\n")
+        tracemalloc.start()
+        try:
+            rc, out = run_json(capsys, ["zeros", str(f), "--q", "1024"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and out["N_f"] == 1022  # y = x + 1, x != 1
+        assert peak < 24 * 2 ** 20, peak
+
+    @pytest.mark.long
+    def test_q1024_trivariate(self, tmp_path, capsys):
+        f = tmp_path / "t.txt"
+        f.write_text("1 1 0 0\n1 0 1 0\n1 0 0 1\n")
+        rc, out = run_json(capsys, ["zeros", str(f), "--q", "1024"])
+        assert rc == 0 and out["N_f"] == 1023 * 1022  # z = x + y, x != y
 
 
 class TestCode:

@@ -1,8 +1,11 @@
 import itertools
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toric3 import gfq
 from toric3.catalog import named_polytope
 from toric3.gfq import (LaurentPolynomial, common_zero_count, count_zeros,
                         make_field, monomial_substitution, multiply,
@@ -58,16 +61,27 @@ class TestFieldArithmetic:
             assert F.power(a, 8) == 1
             assert F.power(a, 0) == 1
 
-    def test_add_many_matches_scalar(self, rng):
-        F = make_field(8)
-        arrays = [rng.integers(0, 8, size=20).astype(np.int64)
-                  for _ in range(4)]
-        total = F.add_many(arrays)
-        for i in range(20):
-            acc = 0
-            for arr in arrays:
-                acc = F.add(acc, int(arr[i]))
-            assert acc == int(total[i])
+    def test_packed_addition_matches_scalar(self):
+        # sums of packed digits (XOR in characteristic 2), reduced mod p,
+        # are the packed field sums
+        rng = random.Random(7)
+        for q in (4, 8, 9, 25, 27):
+            F = make_field(q)
+            for terms in (1, 2, 5, 12):
+                bits = 1 if F.p == 2 else (terms * (F.p - 1)).bit_length()
+                table = F.packed(bits)
+                assert len(set(table.tolist())) == q
+                rows = [[rng.randrange(q) for _ in range(40)]
+                        for _ in range(terms)]
+                acc = np.zeros(40, dtype=np.int64)
+                for row in rows:
+                    acc = acc ^ table[row] if F.p == 2 else acc + table[row]
+                got = F.reduce_packed(acc, bits)
+                for i in range(40):
+                    want = 0
+                    for row in rows:
+                        want = F.add(want, row[i])
+                    assert got[i] == table[want], (q, terms, i)
 
 
 class TestZeroCounting:
@@ -105,6 +119,148 @@ class TestZeroCounting:
         F = make_field(5)
         with pytest.raises(ValueError):
             count_zeros(LaurentPolynomial.make(F, {}))
+
+
+def scalar_zero_set(f):
+    """Torus points (as coordinate tuples) where f vanishes, by scalar
+    field arithmetic at every point."""
+    F = f.field
+    zeros = set()
+    for x in itertools.product(range(1, F.q), repeat=f.n):
+        value = 0
+        for a, c in f.terms:
+            term = c
+            for xi, ai in zip(x, a):
+                term = F.mul(term, F.power(xi, ai))
+            value = F.add(value, term)
+        if value == 0:
+            zeros.add(x)
+    return zeros
+
+
+def oracle_polynomials(rng, F, n, count):
+    """Seeded polynomials with negative exponents, exponents >= q-1 and
+    monomials equal mod q-1: with opposite coefficients (cancelling on
+    the torus) or not."""
+    q = F.q
+    polys = [LaurentPolynomial.make(F, {(0,) * n: 1, (q - 1,) * n: F.neg(1)})]
+    while len(polys) < count:
+        terms = {}
+        for _ in range(rng.randint(1, 7)):
+            a = tuple(rng.randint(-2 * q, 2 * q) for _ in range(n))
+            terms[a] = rng.randrange(1, q)
+        for a, c in list(terms.items())[:2]:
+            b = tuple(x + (q - 1) * rng.choice((-2, -1, 1, 3)) for x in a)
+            terms[b] = F.neg(c) if rng.random() < 0.7 else rng.randrange(q)
+        f = LaurentPolynomial.make(F, terms)
+        if not f.is_zero():
+            polys.append(f)
+    return polys
+
+
+def digit_tensor_zero_mask(f, chunk=256):
+    """The earlier scan, run on chunks of points: the base-p digits of
+    every term value at every point, summed and reduced mod p."""
+    F, n, m = f.field, f.n, f.field.q - 1
+    exps = np.array(f.support, dtype=np.int64) % m
+    clogs = F.log[[c for _, c in f.terms]]
+    grid = np.indices((m,) * n).reshape(n, -1).T
+    masks = []
+    for s in range(0, len(grid), chunk):
+        logs = (grid[s:s + chunk] @ exps.T + clogs) % m
+        digits = F.codes_to_digits(F.exp[logs]).sum(axis=1)
+        masks.append(F.digits_to_codes(digits) == 0)
+    return np.concatenate(masks)
+
+
+class TestScanOracles:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32])
+    def test_matches_scalar_evaluation(self, q, monkeypatch):
+        F = make_field(q)
+        rng = random.Random(1000 + q)
+        for n in (1, 2, 3):
+            if (q - 1) ** n > 5000:  # n = 3 only up to q = 16
+                continue
+            polys = oracle_polynomials(rng, F, n, 5)
+            zero_sets = [scalar_zero_set(f) for f in polys]
+            assert len(zero_sets[0]) == (q - 1) ** n  # cancels everywhere
+            # the default slab, and slabs of one or a few rows
+            for slab in (gfq._SLAB, 40):
+                monkeypatch.setattr(gfq, "_SLAB", slab)
+                for i, (f, zf) in enumerate(zip(polys, zero_sets)):
+                    assert count_zeros(f) == len(zf), (n, f.terms)
+                    g, zg = polys[i - 1], zero_sets[i - 1]
+                    assert common_zero_count(f, g) == len(zf & zg)
+
+    @pytest.mark.parametrize("q,terms", [(2187, 300), (6561, 150)])
+    def test_periodic_reduction_matches_digit_tensor(self, q, terms):
+        # e * bit_length(terms * (p - 1)) > 63: the packed fields are
+        # narrowed and reduced mod p every few terms
+        F = make_field(q)
+        assert F.e * (terms * (F.p - 1)).bit_length() > 63
+        rng = random.Random(q)
+        d = 160 if q == 6561 else 2186 // 2
+        roots = LaurentPolynomial.make(F, {(d,): 1, (0,): F.neg(1)})
+        for trial in range(3):
+            h = LaurentPolynomial.make(F, {
+                (rng.randint(-q, 3 * q),): rng.randrange(1, q)
+                for _ in range(terms // 2)})
+            f = multiply(roots, h) if trial < 2 else h
+            assert len(f.terms) > 63
+            want = digit_tensor_zero_mask(f)
+            got = np.concatenate([z.ravel() for z in gfq._zero_slabs(f)])
+            assert np.array_equal(got, want)
+            assert count_zeros(f) == int(want.sum())
+            if trial < 2:
+                assert want.sum() >= d  # the d-th roots of unity
+        cancel = {(a,): c for a, c in zip(range(0, 4 * terms, 4),
+                                          itertools.cycle(range(1, q)))}
+        cancel.update({(a + q - 1,): F.neg(c) for (a,), c in cancel.items()})
+        f = LaurentPolynomial.make(F, cancel)
+        assert count_zeros(f) == q - 1
+
+    @pytest.mark.parametrize("q", [2187, 6561])
+    def test_reduction_period_is_tight(self, q):
+        # the first term has every digit 1, the other 511 every digit 2
+        # and value q - 1 on the torus: 1 + 2 * 511 = 0 mod 3, so f
+        # vanishes everywhere, and one more term per reduction period
+        # would carry out of a field
+        F = make_field(q)
+        terms = {(0,): sum(3 ** j for j in range(F.e))}
+        terms.update({(k * (q - 1),): q - 1 for k in range(1, 512)})
+        assert count_zeros(LaurentPolynomial.make(F, terms)) == q - 1
+
+    def test_memory_bounded_at_q81(self):
+        P8 = named_polytope("P8")
+        f = random_polynomial(P8, make_field(81), seed=3)
+        assert len(f.terms) == len(P8.lattice_points) and f.n == 3
+        count_zeros(f)
+        tracemalloc.start()
+        try:
+            count_zeros(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+
+    def test_torus_point_guard(self):
+        F = make_field(1031)
+        f = LaurentPolynomial.make(F, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 2})
+        with pytest.raises(ValueError, match="2\\^32"):
+            count_zeros(f)
+        with pytest.raises(ValueError, match="2\\^32"):
+            common_zero_count(f, f)
+
+    def test_constant_has_no_zeros(self):
+        F = make_field(5)
+        f = LaurentPolynomial.make(F, {(): 3})
+        assert f.n == 0 and count_zeros(f) == 0
+        assert common_zero_count(f, f) == 0
+
+    def test_mixed_exponent_lengths_rejected(self):
+        F = make_field(5)
+        with pytest.raises(ValueError, match="mixed lengths \\[2, 3\\]"):
+            LaurentPolynomial.make(F, {(1, 0): 1, (0, 1, 1): 1})
 
 
 class TestMultiplication:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -297,6 +298,24 @@ class TestInformationSets:
         for i in range(len(full)):
             for j in range(i + 1, len(full)):
                 assert not (full[i] & full[j])
+
+
+class TestBzRows:
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_nonzero_rows_match_filtered_sweep(self, q):
+        # BZ's rows: first entry 1, the others nonzero, lexicographically
+        for w in range(1, 5):
+            want = [(1,) + t for t in itertools.product(range(1, q),
+                                                        repeat=w - 1)]
+            for chunk in (5, 64, 1 << 20):
+                old = [b[np.all(b != 0, axis=1)] for b in tc._message_batches(
+                    q, w, [0], range(1, w), chunk)]
+                new = list(tc._message_batches(q, w, [0], range(1, w), chunk,
+                                               low=1))
+                assert max(len(b) for b in new) <= chunk
+                rows = np.concatenate(new)
+                assert np.array_equal(rows, np.concatenate(old))
+                assert [tuple(r) for r in rows.tolist()] == want
 
 
 class TestMaxZeroCount:
