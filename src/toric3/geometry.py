@@ -1,9 +1,12 @@
 """Exact integer lattice geometry in dimensions 2 and 3.
 
 Hulls and coordinates use Python ints only.  A full-dimensional hull in
-Z^3 comes from one exact incremental hull; numpy enumerates its lattice
-points in columns over the box of the first n - 1 coordinates (int64;
-coordinates stay far below overflow at the scales this library targets).
+Z^3 comes from one exact incremental hull.  One numpy kernel enumerates
+the lattice points of full-dimensional polytopes and of symmetric slab
+regions {x : |<n, x>| <= b}: each column of the box of the first n - 1
+coordinates is cut to an exact integer interval of the last (int64;
+coordinates stay far below overflow at the scales this library targets),
+and a box of more than 2^26 columns x inequalities is refused.
 A lower-dimensional polytope carries an integer affine frame: with
 U A V = S the Smith normal form of its difference vectors A, the rows of
 V^-1 form the frame, its first dim rows are a basis of the lattice
@@ -422,6 +425,45 @@ def _hull_3d(pts):
     return verts, tuple(sorted(facets))
 
 
+# ---------------------------------------------------------------------------
+# lattice points by columns (polytopes and slab regions)
+
+_MAX_CELLS = 1 << 26  # columns x inequalities: 512 MB of int64
+
+
+def _column_points(ineqs, lo, hi):
+    """Lex-sorted integer points x with <n, x> >= b for all (n, b) in
+    ineqs, for a region in Z^2 or Z^3 inside the box [lo, hi].
+
+    Each column of the box of the first n - 1 coordinates is cut to an
+    exact integer interval of the last; the inequalities must bound the
+    last coordinate both ways.  Raises ValueError, before any array is
+    built, when columns x inequalities exceeds 2^26.
+    """
+    box = tuple(zip(lo, hi))[:-1]
+    ncols = prod(b - a + 1 for a, b in box)
+    if ncols * len(ineqs) > _MAX_CELLS:
+        raise ValueError(f"lattice point box too large: {ncols} columns x "
+                         f"{len(ineqs)} inequalities = {ncols * len(ineqs)}"
+                         f" > 2^26")
+    F = np.array([n + (o,) for n, o in ineqs], dtype=np.int64)
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in box]
+    cols = np.empty((ncols, len(axes)), dtype=np.int64)
+    cols[:, 0] = np.repeat(axes[0], ncols // len(axes[0]))
+    if len(axes) == 2:
+        cols[:, 1] = np.tile(axes[1], len(axes[0]))
+    rhs = F[:, -1] - cols @ F[:, :-2].T  # n_z z >= rhs on each inequality
+    nz = F[:, -2]
+    up, down = nz > 0, nz < 0
+    zlo = (-(-rhs[:, up] // nz[up])).max(axis=1)
+    zhi = (rhs[:, down] // nz[down]).min(axis=1)
+    count = np.maximum(zhi - zlo + 1, 0)
+    count[(rhs[:, nz == 0] > 0).any(axis=1)] = 0
+    col = np.repeat(np.arange(ncols), count)
+    z = np.arange(len(col)) + (zlo - np.cumsum(count) + count)[col]
+    return tuple(map(tuple, np.column_stack([cols[col], z]).tolist()))
+
+
 class Polytope:
     """Immutable lattice polytope in Z^2 or Z^3.
 
@@ -475,26 +517,9 @@ class Polytope:
         if self.dim < self.ambient:
             inner_pts = self._inner.lattice_points
             return tuple(sorted(self._embed(c) for c in inner_pts))
-        # the facets cut each column to an integer interval of the last axis
-        F = np.array([n + (o,) for n, o in self.facets], dtype=np.int64)
-        V = np.array(self.vertices, dtype=np.int64)
-        lo, hi = V.min(axis=0), V.max(axis=0)
-        axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64)
-                for i in range(self.ambient - 1)]
-        cols = np.empty((prod(map(len, axes)), len(axes)), dtype=np.int64)
-        cols[:, 0] = np.repeat(axes[0], len(cols) // len(axes[0]))
-        if len(axes) == 2:
-            cols[:, 1] = np.tile(axes[1], len(axes[0]))
-        rhs = F[:, -1] - cols @ F[:, :-2].T  # n_z z >= rhs on each facet
-        nz = F[:, -2]
-        up, down = nz > 0, nz < 0  # both nonempty: P is bounded
-        zlo = (-(-rhs[:, up] // nz[up])).max(axis=1)
-        zhi = (rhs[:, down] // nz[down]).min(axis=1)
-        count = np.maximum(zhi - zlo + 1, 0)
-        count[(rhs[:, nz == 0] > 0).any(axis=1)] = 0
-        col = np.repeat(np.arange(len(cols)), count)
-        z = np.arange(len(col)) + (zlo - np.cumsum(count) + count)[col]
-        return tuple(map(tuple, np.column_stack([cols[col], z]).tolist()))
+        spans = tuple(zip(*self.vertices))
+        return _column_points(self.facets, tuple(map(min, spans)),
+                              tuple(map(max, spans)))
 
     def _embed(self, c):
         """The point origin + sum_i c_i frame_i of aff(P)."""
@@ -696,17 +721,8 @@ def lattice_width(P):
             dirs.append(d)
         if len(dirs) == n:
             break
-    system = RationalHalfSpaceSystem(
-        [(d, -B) for d in dirs] + [(vneg(d), -B) for d in dirs])
-    best = (B, tuple(1 if i == 0 else 0 for i in range(n)))
-    for v in system.integer_points():
-        if not any(v) or not is_primitive(v):
-            continue
-        cv = canonical_sign(v)
-        w = width_in_direction(P, cv)
-        if w < best[0] or (w == best[0] and cv < best[1]):
-            best = (w, cv)
-    return best
+    return min((width_in_direction(P, v), v)
+               for v in RationalHalfSpaceSystem(dirs, B).primitive_points())
 
 
 # ---------------------------------------------------------------------------
@@ -719,91 +735,39 @@ def erode(points, u):
 
 
 # ---------------------------------------------------------------------------
-# rational half-space systems (erosion regions, the good-polytope region)
+# slab regions (the good-polytope region, the lattice width search)
 
-def _recedes(normals, n):
-    """True iff some x != 0 in R^n has <a, x> >= 0 for every a in normals
-    (n <= 3)."""
-    if int_rank(normals) < n:
-        return True
-    # the cone {x : <a, x> >= 0} is pointed; it is not {0} iff it has an
-    # extreme ray, which spans the kernel of n - 1 independent normals
-    for rows in itertools.combinations(normals, n - 1):
-        if n == 3:
-            r = cross(*rows)
-        elif n == 2:
-            r = (rows[0][1], -rows[0][0])
-        else:
-            r = (1,)
-        if any(r) and any(all(vdot(a, s) >= 0 for a in normals)
-                          for s in (r, vneg(r))):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
 class RationalHalfSpaceSystem:
-    """Finite system of inequalities <normal, x> >= bound with integer data.
+    """The region {x : |<n, x>| <= bound for every n in normals}.
 
-    Only the integer points of the described region are exposed; the region
-    itself may have rational vertices.
+    Only its integer points are exposed; the region itself may have
+    rational vertices.  It is bounded exactly when the normals span R^n,
+    and then x = adj(N) N x / det(N) for any n independent normals N
+    bounds |x_j| by bound * sum_i |adj(N)_ji| / |det N|.  (The name
+    predates the slab form; the benchmark's spans are keyed on it.)
     """
 
-    inequalities: tuple
-
-    def __init__(self, inequalities):
-        object.__setattr__(self, "inequalities",
-                           tuple((tuple(n), int(b)) for n, b in inequalities))
+    def __init__(self, normals, bound):
+        self.normals = tuple(tuple(n) for n in normals)
+        self.bound = int(bound)
+        if self.bound < 0:
+            raise ValueError("bound must be nonnegative")
+        if not self.normals or int_rank(self.normals) < len(self.normals[0]):
+            raise ValueError("unbounded region")
 
     def contains(self, x):
-        return all(vdot(n, x) >= b for n, b in self.inequalities)
-
-    def _bounding_box(self):
-        """Exact bounding box of the region's vertices, or None for an
-        empty region.
-
-        Each vertex solves n of the equations; by Cramer's rule it is
-        x = adj(M) b / det(M), so with det(M) > 0 it satisfies
-        <normal, x> >= bound iff <normal, adj(M) b> >= bound det(M), and
-        its floor and ceiling come from integer division.
-
-        Raises ValueError when some x != 0 has <normal, x> >= 0 for every
-        inequality: the region is then unbounded, or empty with an
-        unbounded direction."""
-        ineqs = self.inequalities
-        if not ineqs:
-            raise ValueError("empty system is unbounded")
-        n = len(ineqs[0][0])
-        if _recedes([nv for nv, _ in ineqs], n):
-            raise ValueError("unbounded region")
-        verts = []  # (adj(M) b, det(M)) with det(M) > 0
-        for combo in itertools.combinations(ineqs, n):
-            M = [nv for nv, _ in combo]
-            det = mat_det(M)
-            if det == 0:
-                continue
-            y = mat_vec(_adjugate(M), [bv for _, bv in combo])
-            if det < 0:
-                det, y = -det, vneg(y)
-            if all(vdot(nv, y) >= bv * det for nv, bv in ineqs):
-                verts.append((y, det))
-        if not verts:
-            return None  # empty region
-        return ([min(y[i] // d for y, d in verts) for i in range(n)],
-                [max(-(-y[i] // d) for y, d in verts) for i in range(n)])
+        return all(abs(vdot(n, x)) <= self.bound for n in self.normals)
 
     def integer_points(self):
-        box = self._bounding_box()
-        if box is None:
-            return []
-        lo, hi = box
-        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        normals = np.array([n for n, _ in self.inequalities], dtype=np.int64)
-        offs = np.array([b for _, b in self.inequalities], dtype=np.int64)
-        ok = np.all(pts @ normals.T >= offs, axis=1)
-        return [tuple(p) for p in pts[ok].tolist()]
+        n = len(self.normals[0])
+        bases = [(_adjugate(N), abs(det))
+                 for N in itertools.combinations(self.normals, n)
+                 if (det := mat_det(N))]
+        box = [min(self.bound * sum(map(abs, adj[j])) // det
+                   for adj, det in bases) for j in range(n)]
+        ineqs = [(n, -self.bound) for n in self.normals] \
+            + [(vneg(n), -self.bound) for n in self.normals]
+        return list(_column_points(ineqs, [-r for r in box], box))
 
     def primitive_points(self):
         return sorted({canonical_sign(p) for p in self.integer_points()

@@ -138,6 +138,14 @@ class _ChainSearch:
         return False
 
 
+def _length(cs, frame, S):
+    """The length of the longest erosion chain of the packed set S."""
+    L = 0
+    while cs.reach(frame, S, L + 1):
+        L += 1
+    return L
+
+
 def _points(P):
     if isinstance(P, Polytope):
         return set(P.lattice_points)
@@ -151,9 +159,7 @@ def minkowski_length(P, search=None):
         return 0, Decomposition((), min(pts))
     cs = search if search is not None else _ChainSearch()
     frame, S = _pack(pts)
-    L = 0
-    while cs.reach(frame, S, L + 1):
-        L += 1
+    L = _length(cs, frame, S)
     # greedy certificate reconstruction along proven-feasible branches
     dirs = []
     for k in range(L, 0, -1):
@@ -193,8 +199,8 @@ def maximal_segment_decompositions(P, search=None):
     if len(pts) == 1:
         return []
     cs = search if search is not None else _ChainSearch()
-    L, _ = minkowski_length(pts, cs)
     frame, S = _pack(pts)
+    L = _length(cs, frame, S)
     out = []
 
     def dfs(S, prefix):
@@ -225,8 +231,6 @@ def good_polytope(P, bound=14):
     For a 2-dimensional P in Z^3 the edge normals within the plane of P
     together with the plane normal itself are used, so the region stays
     bounded."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     normals = []
     if P.dim == P.ambient:
         normals = [n for n, _ in P.facets]
@@ -244,11 +248,7 @@ def good_polytope(P, bound=14):
         normals.append(plane_normal)
     else:
         raise ValueError("good_polytope needs a 2- or full-dimensional P")
-    ineqs = []
-    for n in normals:
-        ineqs.append((n, -bound))
-        ineqs.append((vneg(n), -bound))
-    return RationalHalfSpaceSystem(ineqs)
+    return RationalHalfSpaceSystem(normals, bound)
 
 
 def find_segments(P, target_L, bound=None, search=None):

@@ -67,6 +67,27 @@ class TestLengthAndSearches:
         assert rc == 0
         assert out["count"] == 16
 
+    @pytest.mark.parametrize("argv", [
+        ["segments", "@T0", "--target-L", "2", "--bound", "100000"],
+        ["info", "HUGE"]])
+    def test_oversized_box_rejected(self, tmp_path, capsys, argv):
+        # 10^7-sized coordinates: the box of the first two coordinates has
+        # 10^14 columns
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"vertices": [
+            [0, 0, 0], [10 ** 7, 0, 0], [0, 10 ** 7, 0], [0, 0, 10 ** 7]]}))
+        tracemalloc.start()
+        try:
+            rc = cli.run([str(f) if a == "HUGE" else a for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "> 2^26" in err[0]
+        assert peak < 4 * 2 ** 20, peak
+
     def test_triangles_t2_empty(self, capsys):
         rc, out = run_json(capsys, ["triangles", "@T2"])
         assert rc == 0 and out["count"] == 0

@@ -7,14 +7,17 @@ import pytest
 
 from conftest import (random_affine_map, random_points, random_polytope,
                       random_unimodular)
-from toric3.catalog import named_polytope
+from toric3.catalog import catalog_names, named_polytope
 from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
-                             _normal_form, ambient_vol3, convex_hull,
-                             equivalent, erode, int_rank, lattice_points,
-                             lattice_width, mat_det, mat_mul, minkowski_sum,
-                             mixed_area, normalized_volume, shape_predicates,
-                             smith_normal_form, tuple_equivalent, vadd, vdot,
-                             vol2, width_in_direction)
+                             _adjugate, _normal_form, ambient_vol3,
+                             canonical_sign, convex_hull, cross, equivalent,
+                             erode, int_rank, is_primitive, lattice_points,
+                             lattice_width, mat_det, mat_mul, mat_vec,
+                             minkowski_sum, mixed_area, normalized_volume,
+                             shape_predicates, smith_normal_form,
+                             tuple_equivalent, vadd, vdot, vneg, vol2, vsub,
+                             width_in_direction)
+from toric3.minklen import good_polytope
 
 
 UNIT_CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -306,6 +309,18 @@ class TestWidth:
                 if any(v) and is_primitive(v):
                     assert width_in_direction(P, v) >= w
 
+    def test_against_reference_loop(self, rng):
+        done = 0
+        while done < 600:
+            n = 2 + done % 2
+            box = int(rng.integers(1, 4))
+            P = random_polytope(rng, count=int(rng.integers(n + 1, 8)),
+                                box=box, ambient=n, low=-box)
+            if P.dim < n:
+                continue
+            assert lattice_width(P) == reference_width(P), P
+            done += 1
+
 
 class TestErosion:
     def test_segment_erosion(self):
@@ -342,50 +357,177 @@ class TestErosion:
                 sorted(erode(erode(pts, b), a))
 
 
+def _recedes(normals, n):
+    """True iff some x != 0 in R^n has <a, x> >= 0 for every a in normals
+    (n <= 3)."""
+    if int_rank(normals) < n:
+        return True
+    # the cone {x : <a, x> >= 0} is pointed; it is not {0} iff it has an
+    # extreme ray, which spans the kernel of n - 1 independent normals
+    for rows in itertools.combinations(normals, n - 1):
+        if n == 3:
+            r = cross(*rows)
+        elif n == 2:
+            r = (rows[0][1], -rows[0][0])
+        else:
+            r = (1,)
+        if any(r) and any(all(vdot(a, s) >= 0 for a in normals)
+                          for s in (r, vneg(r))):
+            return True
+    return False
+
+
+def reference_box(ineqs):
+    """Exact bounding box of the vertices of {x : <n, x> >= b}, or None
+    for an empty region, from all n-subsets of the inequalities by
+    Cramer's rule: a vertex x = adj(M) b / det(M) with det(M) > 0
+    satisfies <n, x> >= b iff <n, adj(M) b> >= b det(M)."""
+    n = len(ineqs[0][0])
+    if _recedes([nv for nv, _ in ineqs], n):
+        raise ValueError("unbounded region")
+    verts = []  # (adj(M) b, det(M)) with det(M) > 0
+    for combo in itertools.combinations(ineqs, n):
+        M = [nv for nv, _ in combo]
+        det = mat_det(M)
+        if det == 0:
+            continue
+        y = mat_vec(_adjugate(M), [bv for _, bv in combo])
+        if det < 0:
+            det, y = -det, vneg(y)
+        if all(vdot(nv, y) >= bv * det for nv, bv in ineqs):
+            verts.append((y, det))
+    if not verts:
+        return None
+    return ([min(y[i] // d for y, d in verts) for i in range(n)],
+            [max(-(-y[i] // d) for y, d in verts) for i in range(n)])
+
+
+def box_filter(ineqs, lo, hi):
+    """Lex-sorted points of the box [lo, hi] with <n, x> >= b for every
+    (n, b) in ineqs: each point tested, a slab of the first coordinate at
+    a time."""
+    normals = np.array([n for n, _ in ineqs], dtype=np.int64)
+    offs = np.array([b for _, b in ineqs], dtype=np.int64)
+    rest = [np.arange(a, b + 1, dtype=np.int64)
+            for a, b in zip(lo[1:], hi[1:])]
+    out = []
+    for x in range(lo[0], hi[0] + 1):
+        grids = np.meshgrid(np.array([x]), *rest, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        ok = np.all(pts @ normals.T >= offs, axis=1)
+        out += map(tuple, pts[ok].tolist())
+    return out
+
+
+def reference_points(ineqs):
+    """Integer points of a general system {x : <n, x> >= b}: the vertex
+    box, filtered point by point."""
+    box = reference_box(ineqs)
+    return [] if box is None else box_filter(ineqs, *box)
+
+
+def slab(normals, bound):
+    return [(n, -bound) for n in normals] + \
+        [(vneg(n), -bound) for n in normals]
+
+
+def reference_width(P):
+    """Lattice width by the primitive points of the dual region, scanned
+    one by one against the seed (B, e_1)."""
+    n = P.ambient
+    B = min(width_in_direction(P, tuple(int(i == j) for j in range(n)))
+            for i in range(n))
+    p0 = P.vertices[0]
+    dirs = []
+    for p in P.vertices[1:]:
+        d = vsub(p, p0)
+        if int_rank(dirs + [d]) > len(dirs):
+            dirs.append(d)
+        if len(dirs) == n:
+            break
+    best = (B, tuple(int(i == 0) for i in range(n)))
+    for v in reference_points(slab(dirs, B)):
+        if not any(v) or not is_primitive(v):
+            continue
+        cv = canonical_sign(v)
+        w = width_in_direction(P, cv)
+        if w < best[0] or (w == best[0] and cv < best[1]):
+            best = (w, cv)
+    return best
+
+
+def catalog_polytopes():
+    names = [nm for nm in catalog_names() if ":" not in nm]
+    names += ["Tab:2,3", "Tab:3,5", "Howe:2,3", "Howe:4,7"]
+    return [(nm, named_polytope(nm)) for nm in names]
+
+
 class TestHalfSpaceSystem:
     def test_integer_points(self):
-        # x >= 0, y >= 0, 2x + 2y <= 3 (rational vertices)
-        sys = RationalHalfSpaceSystem(
-            [((1, 0), 0), ((0, 1), 0), ((-2, -2), -3)])
-        assert sorted(sys.integer_points()) == [(0, 0), (0, 1), (1, 0)]
+        # |2x + 2y| <= 3, |2x - 2y| <= 3: vertices such as (3/2, 0)
+        region = RationalHalfSpaceSystem([(2, 2), (2, -2)], 3)
+        assert region.integer_points() == \
+            [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+        assert region.primitive_points() == [(0, 1), (1, 0)]
 
     def test_contains(self):
-        sys = RationalHalfSpaceSystem([((1, 0, 0), 0), ((-1, 0, 0), -2)])
-        assert sys.contains((1, 5, -7))
-        assert not sys.contains((3, 0, 0))
+        region = RationalHalfSpaceSystem(
+            [(1, 0, 0), (0, 1, 0), (1, 1, 1)], 2)
+        assert region.contains((1, -2, 2))
+        assert not region.contains((3, 0, 0))
+        assert not region.contains((1, 1, 1))
 
     def test_integer_points_against_scan(self, rng):
-        # random bounded systems around the origin: every point of a wide
-        # scan box that satisfies the system is found, and nothing else
+        # random slab regions: the points are exactly those of a scan of a
+        # box that covers the kernel's box and the region's vertex box
         done = 0
         while done < 120:
             n = 2 + done % 2
-            system = RationalHalfSpaceSystem(
-                [(tuple(int(x) for x in rng.integers(-3, 4, size=n)),
-                  int(rng.integers(-6, 1)))
-                 for _ in range(int(rng.integers(n + 1, 8)))])
-            try:
-                pts = system.integer_points()
-            except ValueError:
+            normals = [tuple(int(x) for x in rng.integers(-3, 4, size=n))
+                       for _ in range(int(rng.integers(1, 6)))]
+            bound = int(rng.integers(0, 7))
+            if int_rank(normals) < n:
+                with pytest.raises(ValueError, match="unbounded"):
+                    RationalHalfSpaceSystem(normals, bound)
                 continue
-            r = 24 if n == 2 else 10
-            scan = {p for p in itertools.product(range(-r, r + 1), repeat=n)
-                    if system.contains(p)}
-            assert all(system.contains(p) for p in pts)
-            assert scan <= set(pts)
+            region = RationalHalfSpaceSystem(normals, bound)
+            pts = region.integer_points()
+            # |x_j| <= bound sum_i |(N^-1)_ji| for independent N, exactly
+            box = [min(int(bound * sum(abs(Fraction(x, mat_det(N)))
+                                       for x in _adjugate(N)[j]))
+                       for N in itertools.combinations(normals, n)
+                       if mat_det(N))
+                   for j in range(n)]
+            lo, hi = reference_box(slab(normals, bound))
+            r = max(map(abs, box + lo + hi)) + 1  # the region's box too
+            scan = box_filter(slab(normals, bound), [-r] * n, [r] * n)
+            assert pts == scan
+            assert pts == sorted(set(pts))
             done += 1
 
     def test_unbounded_region_raises(self):
-        octant = RationalHalfSpaceSystem(
-            [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)])
         with pytest.raises(ValueError, match="unbounded"):
-            octant.integer_points()
-        strip = RationalHalfSpaceSystem([((1, 0), 0), ((-1, 0), -2)])
+            RationalHalfSpaceSystem([(1, 0, 0), (0, 1, 1)], 2)
         with pytest.raises(ValueError, match="unbounded"):
-            strip.integer_points()
-        wedge = RationalHalfSpaceSystem([((1, 1), 0), ((1, -1), 0)])
+            RationalHalfSpaceSystem([(1, 2), (-2, -4)], 2)
         with pytest.raises(ValueError, match="unbounded"):
-            wedge.integer_points()
+            RationalHalfSpaceSystem([], 2)
+
+    def test_negative_bound_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RationalHalfSpaceSystem([(1, 0), (0, 1)], -1)
+
+    def test_good_polytope_against_reference(self):
+        checked = 0
+        for name, P in catalog_polytopes():
+            if P.dim < 2:
+                continue
+            for b in (2, 14):
+                region = good_polytope(P, b)
+                assert region.integer_points() == \
+                    reference_points(slab(region.normals, b)), (name, b)
+                checked += 1
+        assert checked >= 30
 
 
 class TestEquivalence:
