@@ -111,9 +111,8 @@ class FiniteField:
             self.modulus = (0, 1)  # the polynomial x, i.e. GF(p) itself
         else:
             self.modulus = self._find_modulus(p, e)
-        self._digit_table = np.array(
-            [_int_digits(k, p, e) for k in range(q)], dtype=np.int64)
         self._pow_p = np.array([p ** i for i in range(e)], dtype=np.int64)
+        self._digit_table = np.arange(q)[:, None] // self._pow_p % p
         self.generator = self._find_generator()
         self._build_tables()
 
@@ -141,8 +140,6 @@ class FiniteField:
         return _digits_int([(-x) % self.p for x in da], self.p)
 
     def _mul_raw(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
         da = _int_digits(a, self.p, self.e)
         db = _int_digits(b, self.p, self.e)
         return _digits_int(
@@ -168,30 +165,41 @@ class FiniteField:
 
     # -- table construction ------------------------------------------------
 
-    def _element_order(self, a):
-        x = a
-        for k in range(1, self.q):
-            if x == 1:
-                return k
-            x = self._mul_raw(x, a)
-        raise RuntimeError("order computation failed")
-
     def _find_generator(self):
+        """The least g with g^((q-1)/r) != 1 for every prime r | q - 1."""
+        primes, m = set(), self.q - 1
+        while m > 1:
+            r = next((c for c in range(2, int(m ** 0.5) + 1) if m % c == 0), m)
+            primes.add(r)
+            m //= r
         for g in range(1, self.q):
-            if self._element_order(g) == self.q - 1:
+            if all(self._power_raw(g, (self.q - 1) // r) != 1 for r in primes):
                 return g
         raise RuntimeError("no generator found")
 
+    def _power_raw(self, a, n):
+        if n == 0:
+            return 1
+        half = self._power_raw(self._mul_raw(a, a), n >> 1)
+        return self._mul_raw(half, a) if n & 1 else half
+
     def _build_tables(self):
-        q = self.q
-        self.exp = np.zeros(q - 1, dtype=np.int64)
+        """exp by doubling: g^(s+i) = g^i h for h = g^s, and times h is
+        the e x e matrix over F_p whose row i is the digits of h x^i."""
+        q, p = self.q, self.p
+        digits = np.zeros((q - 1, self.e), dtype=np.int64)
+        digits[0, 0] = 1
+        mat = self._digit_table[[self._mul_raw(self.generator, p ** i)
+                                 for i in range(self.e)]]
+        size = 1
+        while size < q - 1:
+            take = min(size, q - 1 - size)
+            digits[size:size + take] = digits[:take] @ mat % p
+            mat, size = mat @ mat % p, size + take
+        self.exp = digits @ self._pow_p
         self.log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            self.exp[i] = x
-            self.log[x] = i
-            x = self._mul_raw(x, self.generator)
-        if x != 1:
+        self.log[self.exp] = np.arange(q - 1)
+        if not np.array_equal(np.sort(self.exp), np.arange(1, q)):
             raise RuntimeError("generator tables inconsistent")
 
     # -- vectorized helpers used by the scan and code modules --------------

@@ -256,7 +256,8 @@ def find_segments(P, target_L, bound=None, search=None):
     L(P + [0, u]) = target_L."""
     if bound is None:
         bound = 14
-        if P.dim == 2 and equivalent(P, named_polytope("T0")) is not None:
+        if P.dim == 2 and equivalent(P, named_polytope(
+                "T0" if P.ambient == 3 else "T0_2d")) is not None:
             bound = 2
     cs = search if search is not None else _ChainSearch()
     region = good_polytope(P, bound)

@@ -15,10 +15,11 @@ codewords by information weight over greedily chosen disjoint
 information sets and terminates once the accumulated lower bound meets
 the best weight found.
 
-Weight sweeps run as batched matrix products in float32, or in float64
-when an accumulated integer could reach 2^24, so they are exact;
-extension fields are handled one base-p digit at a time using the
-power-basis structure constants.
+Both engines enumerate messages whose last coordinate c runs fastest.
+The codeword of each prefix (c set to 0) is computed once, exactly, by
+matrix products in float32, or in float64 when an accumulated integer
+could reach 2^24, a base-p digit at a time; its zeros for every value
+of c follow at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -111,64 +112,80 @@ def _gf_matmul(field, a, b):
 # batched zero counting for message sweeps
 
 class _WeightEngine:
-    """Counts zero coordinates of m @ G for batches of message rows.
+    """Zero counts of the codewords m @ G for batches of messages m.
 
-    Prime fields use one product.  Extension fields decompose everything
-    into base-p digits: with struct[s] the digit vector of x^s mod the
-    field modulus, codeword digit t is sum_s (sum_{i+j=s} M_i @ G_j) *
-    struct[s][t] mod p.  Products run in float32 while the largest
-    accumulated integer stays below 2^24, else in float64.
+    ``codes`` works on base-p digits: with struct[s] the digit vector of
+    x^s mod the field modulus, codeword digit t is sum_s (sum_{i+j=s} M_i
+    @ G_j) * struct[s][t] mod p.  ``count`` takes the codes of prefixes m
+    with m_c = 0 to the zeros of m + a e_c for all a at once: coordinate
+    j is a zero iff code_j = -a g_cj, one comparison against a table of
+    these multiples, built for each call in slices of at most
+    _CHUNK_COORDS codes.
     """
 
     def __init__(self, field, gen):
         self.field = field
-        self.n = gen.shape[1]
-        self.k = gen.shape[0]
-        top = self.k * (field.p - 1) ** 2  # bound on one product entry
+        self.k, self.n = gen.shape
+        self._struct = np.ones((1, 1), dtype=np.int64)  # GF(p): x^0 = 1
         if field.e > 1:
             x_code = field.p  # the element represented by the monomial x
             self._struct = np.array(
                 [field.codes_to_digits(field.power(x_code, s))
                  for s in range(2 * field.e - 1)], dtype=np.int64)
-            pairs = [min(s + 1, 2 * field.e - 1 - s)
-                     for s in range(2 * field.e - 1)]
-            top *= int((np.array(pairs) @ self._struct).max())
+        pairs = [min(s + 1, 2 * field.e - 1 - s)
+                 for s in range(2 * field.e - 1)]
+        top = self.k * (field.p - 1) ** 2 * int(  # bound on one digit sum
+            (np.array(pairs) @ self._struct).max())
         if top > 2 ** 53:
             raise ValueError(f"weight sweep over GF({field.q}) with k="
                              f"{self.k} is not exact in float64")
         self._dtype = np.float32 if top < 2 ** 24 else np.float64
-        if field.e == 1:
-            self._g = gen.astype(self._dtype)
-        else:
-            digs = field.codes_to_digits(gen)  # (k, n, e)
-            self._g = [digs[:, :, j].astype(self._dtype)
-                       for j in range(field.e)]
+        self._int = np.int32 if top < 2 ** 31 else np.int64  # for the mod
+        self._code = np.min_scalar_type(field.q - 1)
+        digs = field.codes_to_digits(gen)  # (k, n, e)
+        self._g = [digs[:, :, j].astype(self._dtype) for j in range(field.e)]
+        # -a g = exp[log a + log(-g)]; log 0 = 2q - 2 points past both
+        # copies of exp into zeros
+        q = field.q
+        self._log = np.where(np.arange(q) > 0, field.log, 2 * q - 2)
+        self._exp = np.pad(np.tile(field.exp, 2), (0, 2 * q - 1)).astype(
+            self._code)
+        self._minus_g = self._log[_vec_sub(field, 0, gen)].astype(
+            np.min_scalar_type(2 * q - 2))
 
     def zeros(self, msgs):
         """Zero-coordinate count per row for a (b, k) batch of codes."""
-        F = self.field
-        if F.e == 1:
-            res = (msgs.astype(self._dtype) @ self._g).astype(np.int64) % F.p
-            return np.count_nonzero(res == 0, axis=1)
-        mdig = F.codes_to_digits(msgs)  # (b, k, e)
-        mcols = [mdig[:, :, i].astype(self._dtype) for i in range(F.e)]
-        return self._zeros_ext(mcols, F.e, F.p)
+        return self.count(self.codes(msgs), 0, range(1))[:, 0]
 
-    def _zeros_ext(self, mcols, e, p):
-        conv = [None] * (2 * e - 1)
-        for i in range(e):
-            for j in range(e):
-                prod = mcols[i] @ self._g[j]
-                conv[i + j] = prod if conv[i + j] is None else conv[i + j] + prod
-        zero_mask = np.ones(conv[0].shape, dtype=bool)
-        for t in range(e):
-            digit = np.zeros_like(conv[0])
-            for s in range(2 * e - 1):
-                c = int(self._struct[s, t])
-                if c:
-                    digit += c * conv[s]
-            zero_mask &= digit.astype(np.int64) % p == 0
-        return np.count_nonzero(zero_mask, axis=1)
+    def codes(self, msgs):
+        """Codewords of a (b, k) batch of codes, as (b, n) codes in the
+        smallest unsigned dtype that holds q - 1."""
+        F = self.field
+        mcols = F.codes_to_digits(msgs).transpose(2, 0, 1).astype(
+            self._dtype, order="C")  # (e, b, k)
+        conv = [0] * (2 * F.e - 1)
+        for i in range(F.e):
+            for j in range(F.e):
+                conv[i + j] = conv[i + j] + mcols[i] @ self._g[j]
+        out = 0
+        for t in range(F.e):
+            digit = sum(int(c) * conv[s]
+                        for s, c in enumerate(self._struct[:, t]) if c)
+            out = out + digit.astype(self._int) % F.p * F.p ** t
+        return out.astype(self._code)
+
+    def count(self, codes, c, values):
+        """(b, len(values)) zero counts of m + a e_c, a in the range
+        ``values``, from the ``codes`` of prefixes m with m_c = 0.  The
+        values run in slices of at most _CHUNK_COORDS // n."""
+        out = np.empty((len(codes), len(values)), np.min_scalar_type(self.n))
+        step = max(1, _CHUNK_COORDS // self.n)
+        for lo in range(0, len(values), step):
+            a = np.array(values[lo:lo + step])
+            table = self._exp[self._log[a][:, None] + self._minus_g[c]]
+            hits = (codes[:, None, :] == table).view(np.uint8)
+            hits.sum(axis=2, dtype=out.dtype, out=out[:, lo:lo + step])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +244,17 @@ def build_code(P, q):
 # ---------------------------------------------------------------------------
 # minimum-weight engines
 
-def _message_batches(q, k, frame, free, chunk, low=0):
+def _message_batches(q, k, frame, free, chunk):
     """Messages of length k, in chunks: the ``frame`` coordinates run
-    through the nonzero 0/1 patterns, the ``free`` ones through the codes
-    low..q-1 lexicographically (last one fastest), all others are 0."""
-    total = (2 ** len(frame) - 1) * (q - low) ** len(free)
+    through the nonzero 0/1 patterns, the ``free`` ones through F_q
+    lexicographically (last one fastest), all others are 0."""
+    total = (2 ** len(frame) - 1) * q ** len(free)
     for start in range(0, total, chunk):
         rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
         msgs = np.zeros((rest.size, k), dtype=np.int64)
         for c in reversed(free):
-            np.add(rest % (q - low), low, out=msgs[:, c])
-            rest = rest // (q - low)
+            msgs[:, c] = rest % q
+            rest = rest // q
         rest = rest + 1  # pattern index, 1 .. 2^|frame| - 1
         for c in reversed(frame):
             msgs[:, c] = rest & 1
@@ -298,13 +315,15 @@ def min_weight_exhaustive(code, early_stop=None):
             f"exhaustive sweep needs {cost:.2e} coordinate updates "
             f"(budget {BUDGET:.0e}); use BZ (min_weight_bz)")
     engine = _WeightEngine(code.field, code.matrix)
-    chunk = max(1, _CHUNK_COORDS // n)
     best = n
     for frame, free in levels:
-        for msgs in _message_batches(q, k, frame, free, chunk):
-            w = n - engine.zeros(msgs).max()
+        # the last free row runs fastest: it is the trailing coordinate
+        c, values = (free[-1], range(q)) if free else (0, range(1))
+        rows = max(1, _CHUNK_COORDS // (len(values) * n))
+        for msgs in _message_batches(q, k, frame, free[:-1], rows):
+            w = n - int(engine.count(engine.codes(msgs), c, values).max())
             if w < best:
-                best = int(w)
+                best = w
                 if early_stop is not None and best <= early_stop:
                     return best
     return best
@@ -337,14 +356,34 @@ def _information_sets(field, gen):
     return sets
 
 
+def _bz_batches(q, k, w, rows):
+    """BZ's weight-w messages (first nonzero entry 1): chunks of at most
+    ``rows`` prefixes, each with cuts [(c, end)] standing for prefixes[:end]
+    + a e_c, a in 1..q-1 (a = 1 alone at w = 1).  The prefixes have weight
+    w-1 below coordinate k-1, grouped by their last nonzero coordinate."""
+    supps = np.array(sorted(combinations(range(k - 1), w - 1),
+                            key=lambda s: s[::-1]), dtype=np.int64)
+    pats = (q - 1) ** max(w - 2, 0)  # value patterns after the leading 1
+    ends = [(c, comb(c, w - 1) * pats) for c in range(w - 1, k)]
+    for start in range(0, len(supps) * pats, rows):
+        r = np.arange(start, min(start + rows, len(supps) * pats))
+        s, rest = supps[r // pats], r % pats
+        msgs = np.zeros((r.size, k), dtype=np.int64)
+        for j in range(w - 2, -1, -1):  # the last fastest, the first 1
+            base = q - 1 if j else 1
+            msgs[r - start, s[:, j]] = rest % base + 1
+            rest //= base
+        yield msgs, [(c, end - start) for c, end in ends if end > start]
+
+
 def min_weight_bz(code):
     """Exact minimum weight via enumeration by information weight.
 
     For each disjoint information set, codewords are generated from
-    weight-w information vectors (first nonzero entry 1) against the
-    systematized generator.  After finishing weight w on all sets, every
-    unseen codeword has weight at least sum_i max(0, w+1 - deficiency_i),
-    which stops the sweep once it reaches the best weight found.
+    weight-w information vectors (first nonzero entry 1, ``_bz_batches``)
+    against the systematized generator.  After finishing weight w on all
+    sets, every unseen codeword has weight at least sum_i max(0, w+1 -
+    deficiency_i), which stops the sweep once it reaches the best weight.
     """
     field, gen = code.field, code.matrix
     q, k, n = field.q, code.k, code.n
@@ -356,16 +395,16 @@ def min_weight_bz(code):
         inv = _gf_inv(field, gen[:, cols])
         systems.append((_WeightEngine(field, _gf_matmul(field, inv, gen)),
                         delta))
-    chunk = max(1, _CHUNK_COORDS // n)
     best = n
     for w in range(1, k + 1):
+        values = range(1, q if w > 1 else 2)
+        rows = max(1, _CHUNK_COORDS // (len(values) * n))
         for done, (engine, _) in enumerate(systems):
-            for supp in combinations(range(k), w):
-                for live in _message_batches(q, w, [0], range(1, w), chunk,
-                                             low=1):
-                    msgs = np.zeros((live.shape[0], k), dtype=np.int64)
-                    msgs[:, list(supp)] = live
-                    best = min(best, int(n - engine.zeros(msgs).max()))
+            for prefixes, cuts in _bz_batches(q, k, w, rows):
+                codes = engine.codes(prefixes)
+                for c, end in cuts:
+                    zeros = engine.count(codes[:end], c, values).max()
+                    best = min(best, n - int(zeros))
             lower = sum(max(0, w + 1 - d) for _, d in systems[:done + 1])
             lower += sum(max(0, w - d) for _, d in systems[done + 1:])
             if lower >= best:

@@ -67,6 +67,15 @@ class TestLengthAndSearches:
         assert rc == 0
         assert out["count"] == 16
 
+    def test_segments_t0_2d_default_bound(self, capsys):
+        # T0 in Z^2 takes T0's bound 2 though the catalog T0 lies in Z^3
+        argv = ["segments", "@T0_2d", "--target-L", "2"]
+        rc, out = run_json(capsys, argv)
+        assert rc == 0
+        rc2, out2 = run_json(capsys, argv + ["--bound", "2"])
+        assert rc2 == 0 and out == out2
+        assert out["directions"] == [[0, 1], [1, 0], [1, 1]]
+
     @pytest.mark.parametrize("argv", [
         ["segments", "@T0", "--target-L", "2", "--bound", "100000"],
         ["info", "HUGE"]])

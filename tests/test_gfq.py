@@ -47,6 +47,32 @@ class TestFieldArithmetic:
         assert make_field(7).generator == 3
         assert make_field(2).generator == 1
 
+    def test_tables_match_sequential_loop(self):
+        # the construction of the tables before the doubling: the least
+        # element of order q - 1 by repeated products, then exp one
+        # product at a time
+        for q in range(2, 1025):
+            try:
+                p, e = gfq._factor_prime_power(q)
+            except ValueError:
+                continue
+            F = gfq.FiniteField(q)
+            assert F._digit_table.tolist() == \
+                [gfq._int_digits(x, p, e) for x in range(q)]
+
+            def order(a):
+                x, k = a, 1
+                while x != 1:
+                    x, k = F._mul_raw(x, a), k + 1
+                return k
+            g = next(g for g in range(1, q) if order(g) == q - 1)
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(F._mul_raw(exp[-1], g))
+            assert F.generator == g, q
+            assert F.exp.tolist() == exp, q
+            assert F.log[exp].tolist() == list(range(q - 1)), q
+
     @pytest.mark.parametrize("q", [3, 4, 7, 8, 9, 13])
     def test_exp_log_roundtrip(self, q):
         F = make_field(q)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -99,6 +100,37 @@ class TestWeightEngine:
                 count += acc == 0
             assert count == int(zeros[row])
 
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_trailing_count_matches_scalar_field_ops(self, rng, q):
+        F = make_field(q)
+        G = rng.integers(0, q, size=(4, 13)).astype(np.int64)
+        engine = tc._WeightEngine(F, G)
+        for c in range(4):
+            prefixes = rng.integers(0, q, size=(9, 4)).astype(np.int64)
+            prefixes[:, c] = 0
+            codes = engine.codes(prefixes)
+            for values in (range(1), range(q), range(1, q)):
+                counts = engine.count(codes, c, values)
+                assert counts.shape == (9, len(values))
+                for i, a in enumerate(values):
+                    msgs = prefixes.copy()
+                    msgs[:, c] = a
+                    assert list(counts[:, i]) == scalar_zeros(F, msgs, G)
+
+    def test_count_in_value_slices(self, rng, monkeypatch):
+        # n = 13 and chunks of 52 coordinates: slices of 4 values
+        F = make_field(9)
+        G = rng.integers(0, 9, size=(4, 13)).astype(np.int64)
+        prefixes = rng.integers(0, 9, size=(6, 4)).astype(np.int64)
+        prefixes[:, 2] = 0
+        engine = tc._WeightEngine(F, G)
+        codes = engine.codes(prefixes)
+        whole = {v: engine.count(codes, 2, v)
+                 for v in (range(9), range(1, 9), range(1))}
+        monkeypatch.setattr(tc, "_CHUNK_COORDS", 52)
+        for values, want in whole.items():
+            assert np.array_equal(engine.count(codes, 2, values), want)
+
     def test_exact_past_float32_range(self, rng):
         # column 0: 16 * 1030 * 1018 + 823 = 1031 * 16273, an odd zero of
         # GF(1031) above 2^24, which float32 rounds to an even nonzero
@@ -107,9 +139,18 @@ class TestWeightEngine:
         G[:, 0] = [1018] * 16 + [823]
         msgs = rng.integers(0, 1031, size=(4, 17)).astype(np.int64)
         msgs[0] = [1030] * 16 + [1]
-        zeros = tc._WeightEngine(F, G).zeros(msgs)
+        engine = tc._WeightEngine(F, G)
+        zeros = engine.zeros(msgs)
         assert list(zeros) == scalar_zeros(F, msgs, G)
         assert zeros[0] >= 1
+        # the same zero as prefix (last entry 0) plus 1 * row 16, and as
+        # prefix 1030 * e_0 + ... plus 1030 * row 0
+        for c, a in ((16, 1), (0, 1030)):
+            prefixes = msgs.copy()
+            prefixes[:, c] = 0
+            counts = engine.count(engine.codes(prefixes), c, range(1031))
+            assert [int(counts[i, msgs[i, c]]) for i in range(4)] == \
+                list(zeros)
 
     def test_inexact_even_in_float64_raises(self):
         # k (p-1)^2 > 2^53: no float product is exact
@@ -162,6 +203,31 @@ class TestMinWeight:
             code = tc.build_code(named_polytope("P8"), 5)
         assert tc.min_weight_exhaustive(code) == 36
         assert tc.min_weight_bz(code) == 36
+
+    def test_sweep_memory_bounded_by_the_chunk(self, monkeypatch):
+        # conv{0, 2 e_1} at q = 257: n = 256^2, and the level of the last
+        # row compares q values of it, q n ~ 2^24 codes; chunks of 2^18
+        # coordinates hold 4 of them at a time
+        code = tc.build_code(convex_hull([(0, 0), (2, 0)]), 257)
+        monkeypatch.setattr(tc, "_CHUNK_COORDS", 1 << 18)
+        tracemalloc.start()
+        try:
+            d = tc.min_weight_exhaustive(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == code.n - 2 * 256  # a + b x + c x^2: two roots x
+        assert peak < 16 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("name,q", [("P8", 5), ("T1", 4), ("T1", 8)])
+    def test_engines_unchanged_by_tiny_chunks(self, monkeypatch, name, q):
+        # one message per chunk and one value per slice
+        code = build_quietly(named_polytope(name), q)
+        want = tc.min_weight_exhaustive(code)
+        assert tc.min_weight_bz(code) == want
+        monkeypatch.setattr(tc, "_CHUNK_COORDS", 1)
+        assert tc.min_weight_exhaustive(code) == want
+        assert tc.min_weight_bz(code) == want
 
     def test_engines_agree_on_random_codes(self, rng):
         for q in (4, 5, 7):
@@ -300,22 +366,55 @@ class TestInformationSets:
                 assert not (full[i] & full[j])
 
 
+def old_bz_messages(q, k, w, chunk):
+    """BZ's weight-w messages as the loop over supports enumerated them:
+    first nonzero entry 1, the others nonzero, lexicographically."""
+    out = []
+    for supp in itertools.combinations(range(k), w):
+        for b in tc._message_batches(q, w, [0], range(1, w), chunk):
+            live = b[np.all(b != 0, axis=1)]
+            msgs = np.zeros((len(live), k), dtype=np.int64)
+            msgs[:, list(supp)] = live
+            out.extend(map(tuple, msgs.tolist()))
+    return out
+
+
+def bz_messages(q, k, w, rows):
+    """The messages of ``_bz_batches`` in their order: per chunk and cut,
+    the prefixes with the trailing value running fastest."""
+    values = range(1, q if w > 1 else 2)
+    out = []
+    for prefixes, cuts in tc._bz_batches(q, k, w, rows):
+        assert len(prefixes) <= rows
+        for c, end in cuts:
+            # the trailing value lands on a zero column
+            assert end > 0 and not prefixes[:end, c:].any()
+            for p in prefixes[:end].tolist():
+                out.extend(tuple(p[:c] + [a] + p[c + 1:]) for a in values)
+    return out
+
+
 class TestBzRows:
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
     def test_nonzero_rows_match_filtered_sweep(self, q):
-        # BZ's rows: first entry 1, the others nonzero, lexicographically
+        # on a full support (k = w) BZ's rows are those of the sweep with
+        # first entry 1 and the others nonzero, in the same order
         for w in range(1, 5):
-            want = [(1,) + t for t in itertools.product(range(1, q),
-                                                        repeat=w - 1)]
-            for chunk in (5, 64, 1 << 20):
-                old = [b[np.all(b != 0, axis=1)] for b in tc._message_batches(
-                    q, w, [0], range(1, w), chunk)]
-                new = list(tc._message_batches(q, w, [0], range(1, w), chunk,
-                                               low=1))
-                assert max(len(b) for b in new) <= chunk
-                rows = np.concatenate(new)
-                assert np.array_equal(rows, np.concatenate(old))
-                assert [tuple(r) for r in rows.tolist()] == want
+            want = [tuple(r) for b in tc._message_batches(
+                q, w, [0], range(1, w), 1 << 20)
+                for r in b[np.all(b != 0, axis=1)].tolist()]
+            for rows in (1, 5, 64, 1 << 20):
+                assert bz_messages(q, w, w, rows) == want, (w, rows)
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_bz_batches_match_per_support_loop(self, q):
+        # prefix x trailing-value groups against the loop over supports
+        for k in range(1, 7 if q <= 7 else 5):
+            for w in range(1, k + 1):
+                want = sorted(old_bz_messages(q, k, w, 1 << 20))
+                for rows in (1, 5, 64, 1 << 20):
+                    got = bz_messages(q, k, w, rows)
+                    assert sorted(got) == want, (k, w, rows)
 
 
 class TestMaxZeroCount:
