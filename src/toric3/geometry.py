@@ -7,6 +7,8 @@ regions {x : |<n, x>| <= b}: each column of the box of the first n - 1
 coordinates is cut to an exact integer interval of the last (int64;
 coordinates stay far below overflow at the scales this library targets),
 and a box of more than 2^26 columns x inequalities is refused.
+Segment sums P + [0, u] reach it with no hull, from P's facets and edges
+(``segment_sums``).
 A lower-dimensional polytope carries an integer affine frame: with
 U A V = S the Smith normal form of its difference vectors A, the rows of
 V^-1 form the frame, its first dim rows are a basis of the lattice
@@ -606,6 +608,47 @@ def minkowski_sum(P, Q):
         raise ValueError("dimension mismatch")
     sums = {vadd(p, q) for p in P.vertices for q in Q.vertices}
     return convex_hull(sums)
+
+
+def segment_sums(P):
+    """u -> the lex-sorted lattice points of P + [0, u], for one host P.
+
+    A facet of a full-dimensional sum has a facet normal n of P (+-the
+    plane normal of a flat P) at offset b + min(0, <n, u>), or the normal
+    +-(e x u) of an edge e of P (+-u^perp in Z^2) at P's least and greatest
+    value; further valid inequalities change no point.  Lower-dimensional
+    sums (dim P <= 1, u in the plane of a flat P) take ``minkowski_sum``.
+    """
+    n, verts, facets, coords = P.ambient, P.vertices, P.facets, P.vertices
+
+    def hulled(u):
+        return minkowski_sum(P, convex_hull([(0,) * n, u])).lattice_points
+
+    if P.dim < 2:
+        return hulled
+    if P.dim < n:
+        h = primitive(cross(*P._frame[:2]))
+        facets = ((h, vdot(h, verts[0])), (vneg(h), -vdot(h, verts[0])))
+        coords = [P._coords(v)[:2] for v in verts]
+    # edges: vertex pairs on dim - 1 common facets (of P._inner if flat)
+    tight = [{f for f in P.facets if vdot(f[0], c) == f[1]} for c in coords]
+    edges = {canonical_sign(primitive(vsub(b, a))) for (a, s), (b, t)
+             in itertools.combinations(zip(verts, tight), 2)
+             if len(s & t) >= P.dim - 1}
+    lo, hi = tuple(map(min, *verts)), tuple(map(max, *verts))
+
+    def points(u):
+        if P.dim < n and vdot(facets[0][0], u) == 0:
+            return hulled(u)
+        ineqs = [(m, b + min(0, vdot(m, u))) for m, b in facets]
+        sides = ({primitive((-u[1], u[0]))} if n == 2 else
+                 {canonical_sign(primitive(cross(e, u))) for e in edges})
+        for m in sides - {(0,) * n}:
+            vals = [vdot(m, v) for v in verts]
+            ineqs += [(m, min(vals)), (vneg(m), -max(vals))]
+        return _column_points(ineqs, tuple(map(min, lo, vadd(lo, u))),
+                              tuple(map(max, hi, vadd(hi, u))))
+    return points
 
 
 def _relative_vol2(points):

@@ -30,7 +30,8 @@ from operator import lshift
 from .catalog import named_polytope
 from .geometry import (Polytope, RationalHalfSpaceSystem, canonical_sign,
                        convex_hull, cross, equivalent, minkowski_sum,
-                       primitive, tuple_equivalent, vadd, vneg, vsub)
+                       primitive, segment_sums, tuple_equivalent, vadd, vneg,
+                       vsub)
 
 _BIG = 1 << 60
 _WIDTH = 21  # least bits per packed coordinate
@@ -254,6 +255,8 @@ def good_polytope(P, bound=14):
 def find_segments(P, target_L, bound=None, search=None):
     """All canonical primitive u in the good-polytope region of P with
     L(P + [0, u]) = target_L."""
+    if target_L < 1:  # L(P + I) >= 1 for every segment I
+        raise ValueError(f"target L must be at least 1, got {target_L}")
     if bound is None:
         bound = 14
         if P.dim == 2 and equivalent(P, named_polytope(
@@ -261,10 +264,10 @@ def find_segments(P, target_L, bound=None, search=None):
             bound = 2
     cs = search if search is not None else _ChainSearch()
     region = good_polytope(P, bound)
+    sums = segment_sums(P)
     out = []
     for u in region.primitive_points():
-        Q = minkowski_sum(P, convex_hull([(0,) * P.ambient, u]))
-        frame, S = _pack(Q.lattice_points)
+        frame, S = _pack(sums(u))
         if cs.reach(frame, S, target_L) \
                 and not cs.reach(frame, S, target_L + 1):
             out.append(u)
@@ -280,22 +283,13 @@ def unit_triangle_segment_sweep(rmax, triangle="unit"):
         T = named_polytope("T0")
     else:
         raise ValueError("triangle must be 'unit' or 'T0'")
-    cs = _ChainSearch()
-    best = 0
+    sums, cs = segment_sums(T), _ChainSearch()
     for r in range(rmax, 0, -1):
-        if r <= best:
-            break
-        for p in range(r + 1):
-            for q in range(r + 1):
-                if math.gcd(p, q, r) != 1:
-                    continue
-                Q = minkowski_sum(T, convex_hull([(0, 0, 0), (p, q, r)]))
-                if not cs.reach(*_pack(Q.lattice_points), 3):
-                    best = r
-                    break
-            if best == r:
-                break
-    return best
+        if any(math.gcd(p, q, r) == 1
+               and not cs.reach(*_pack(sums((p, q, r))), 3)
+               for p in range(r + 1) for q in range(r + 1)):
+            return r
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +303,22 @@ def _find_summands(P, k, search):
     segs = find_segments(P, 2, search=cs)
     dirset = set(segs)  # primitive vectors only
     signed = segs + [vneg(u) for u in segs]
+    # a ~ b iff b - a is +-a direction (a - 0 always is): the (k-1)-cliques
+    # in index order are the compatible combinations, in their order
+    later = [{j for j in range(i + 1, len(signed))
+              if canonical_sign(vsub(signed[j], signed[i])) in dirset}
+             for i in range(len(signed))]
+
+    def cliques(cand, size):
+        for i in cand:
+            nxt = [j for j in cand if j in later[i]]
+            for rest in cliques(nxt, size - 1) if size > 1 else [()]:
+                yield (signed[i],) + rest
+
     seen = set()
     out = []
-    for rest in itertools.combinations(signed, k - 1):
+    for rest in cliques(range(len(signed)), k - 1):
         pts = ((0,) * P.ambient,) + rest
-        if any(canonical_sign(vsub(y, x)) not in dirset
-               for x, y in itertools.combinations(pts, 2)):
-            continue
         m = min(pts)
         key = tuple(sorted(vsub(v, m) for v in pts))
         if key in seen:
@@ -454,23 +457,13 @@ def three_segments_width_scan(case, cmax=14):
         base = convex_hull([(0, 0, 0), (1, 0, 0), (1, 2, 0), (2, 2, 0)])
     else:
         raise ValueError("case must be 1 or 2")
-    cs = _ChainSearch()
-    best = 0
+    sums, cs = segment_sums(base), _ChainSearch()
     for c in range(cmax, 0, -1):
-        if c <= best:
-            break
-        found = False
         for b in range(c):
             for a in range(b + 1):
                 if math.gcd(a, b, c) != 1:
                     continue
-                Q = minkowski_sum(base, convex_hull([(0, 0, 0), (a, b, c)]))
-                frame, S = _pack(Q.lattice_points)
+                frame, S = _pack(sums((a, b, c)))
                 if cs.reach(frame, S, 3) and not cs.reach(frame, S, 4):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            best = c
-    return best
+                    return c
+    return 0

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,19 @@ class TestPolytopeFiles:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestModuleEntryPoint:
+    def test_python_m_toric3(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                                 else ""))
+        proc = subprocess.run([sys.executable, "-m", "toric3", "info", "@S1"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["points"] == 4
+
+
 class TestLengthAndSearches:
     def test_length_certificate(self, capsys):
         rc, out = run_json(capsys, ["length", "@S2"])
@@ -66,6 +83,14 @@ class TestLengthAndSearches:
         rc, out = run_json(capsys, ["segments", "@T0", "--target-L", "2"])
         assert rc == 0
         assert out["count"] == 16
+
+    @pytest.mark.parametrize("target", ["0", "-1"])
+    def test_segments_target_below_one(self, capsys, target):
+        # L(P + I) >= 1 for every segment I, so no direction can qualify
+        rc = cli.run(["segments", "@S1", "--target-L", target])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_segments_t0_2d_default_bound(self, capsys):
         # T0 in Z^2 takes T0's bound 2 though the catalog T0 lies in Z^3

@@ -14,7 +14,7 @@ from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
                              erode, int_rank, is_primitive, lattice_points,
                              lattice_width, mat_det, mat_mul, mat_vec,
                              minkowski_sum, mixed_area, normalized_volume,
-                             shape_predicates, smith_normal_form,
+                             segment_sums, shape_predicates, smith_normal_form,
                              tuple_equivalent, vadd, vdot, vneg, vol2, vsub,
                              width_in_direction)
 from toric3.minklen import good_polytope
@@ -211,6 +211,52 @@ class TestHullOracle:
         assert len(P.facets) == 6
         assert P.n_points == (d + 1) ** 3
         assert normalized_volume(P) == 6 * d ** 3
+
+
+class TestSegmentSums:
+    """segment_sums(P)(u) against the two-hull sum it replaces."""
+
+    CATALOG = ("T0", "T0_2d", "S1", "S2", "E", "K1", "K2", "S", "T1", "T2",
+               "P8", "Q8", "EX72")
+
+    @staticmethod
+    def seeded_hosts(rng):
+        """Hulls of 1-6 points in Z^2 and Z^3 of every dimension; one in
+        four of those in Z^3 is flat, on a tilted plane."""
+        out = []
+        for i in range(320):
+            ambient = 2 + i % 2
+            pts = random_points(rng, int(rng.integers(1, 7)),
+                                int(rng.integers(1, 5)), ambient, low=-2)
+            if i % 8 == 1:
+                pts = [(x, y, x - 2 * y) for x, y, _ in pts]
+            out.append(convex_hull(pts))
+        return out
+
+    def test_against_minkowski_sum(self, rng):
+        hosts = [named_polytope(nm) for nm in self.CATALOG] + [
+            convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+            convex_hull([(0, 0, 0), (1, 0, 0), (1, 2, 0), (2, 2, 0)])]
+        hosts += self.seeded_hosts(rng)
+        kinds, degenerate = set(), 0
+        for P in hosts:
+            n = P.ambient
+            kinds.add((n, P.dim))
+            sums = segment_sums(P)
+            verts = P.vertices
+            d1 = vsub(verts[-1], verts[0])
+            d2 = vsub(verts[len(verts) // 2], verts[0])
+            # collinear with a segment P, or in the plane of a flat P
+            us = [d1, vneg(d1), vadd(d1, d2), vsub(d1, vadd(d2, d2))]
+            us += [tuple(int(x) for x in rng.integers(-6, 7, n))
+                   for _ in range(12)]
+            for u in us:
+                S = minkowski_sum(P, convex_hull([(0,) * n, u]))
+                assert sums(u) == S.lattice_points, (P, u)
+                degenerate += S.dim < n
+        assert kinds == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2),
+                         (3, 3)}
+        assert degenerate > 300
 
 
 class TestExactLinearAlgebra:

@@ -6,11 +6,11 @@ from conftest import random_affine_map, random_points, random_polytope
 from toric3.catalog import named_polytope
 from toric3.geometry import (UnimodularMap, canonical_sign, convex_hull,
                              equivalent, erode, is_primitive, lattice_points,
-                             minkowski_sum, vadd, vsub)
-from toric3.minklen import (_ChainSearch, add_tetra_huh, add_triangle_huh,
-                            classify_pair, classify_triple, find_segments,
-                            find_tetra, find_triangles, good_polytope,
-                            has_length_at_most, is_dps,
+                             minkowski_sum, vadd, vneg, vsub)
+from toric3.minklen import (_ChainSearch, _pack, add_tetra_huh,
+                            add_triangle_huh, classify_pair, classify_triple,
+                            find_segments, find_tetra, find_triangles,
+                            good_polytope, has_length_at_most, is_dps,
                             maximal_segment_decompositions, minkowski_length,
                             three_segments_width_scan)
 
@@ -156,6 +156,51 @@ class TestTriangleTetraSearch:
 
     def test_add_tetra_predicate(self):
         assert add_tetra_huh(named_polytope("K2"))
+
+
+def combination_summands(P, segs, k, cs):
+    """The summand search by every (k-1)-combination of the signed
+    directions segs = find_segments(P, 2), each tested edge by edge: the
+    oracle of the clique enumeration in ``_find_summands``."""
+    dirset = set(segs)
+    signed = segs + [vneg(u) for u in segs]
+    seen, out = set(), []
+    for rest in itertools.combinations(signed, k - 1):
+        pts = ((0,) * P.ambient,) + rest
+        if any(canonical_sign(vsub(y, x)) not in dirset
+               for x, y in itertools.combinations(pts, 2)):
+            continue
+        m = min(pts)
+        key = tuple(sorted(vsub(v, m) for v in pts))
+        if key in seen:
+            continue
+        seen.add(key)
+        T = convex_hull(key)
+        if T.n_points != k or len(T.vertices) != k:
+            continue
+        if minkowski_length(T, cs)[0] != 1:
+            continue
+        if not cs.reach(*_pack(minkowski_sum(P, T).lattice_points), 3):
+            out.append(T)
+    return sorted(out, key=lambda T: T.vertices)
+
+
+class TestSummandCliques:
+    @pytest.mark.parametrize("name", ["E", "K2", "T1", "T2"])
+    def test_against_combinations(self, rng, name):
+        P = named_polytope(name)
+        hosts = [P] + [random_affine_map(rng).apply_polytope(P)
+                       for _ in range(2)]
+        for host in hosts:
+            cs, ref = _ChainSearch(), _ChainSearch()  # shared by k = 3, 4
+            segs = find_segments(host, 2, search=ref)
+            for k, search in ((3, find_triangles), (4, find_tetra)):
+                got = [T.vertices for T in search(host, cs)]
+                want = [T.vertices
+                        for T in combination_summands(host, segs, k, ref)]
+                assert got == want
+                assert (len(cs.proved), len(cs.refuted)) == \
+                    (len(ref.proved), len(ref.refuted))
 
 
 class TestClassifyPair:
