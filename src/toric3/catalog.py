@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from math import gcd
 
 from .geometry import convex_hull, minkowski_sum
@@ -55,16 +56,22 @@ def _parse_params(text):
     return int(m.group(1)), int(m.group(2))
 
 
-def named_polytope(name):
-    """Look up a catalog polytope by name.
-
-    Raises ``KeyError`` for unknown names.
-    """
-    if name in _FIXED:
-        return convex_hull(_FIXED[name])
+@cache
+def _fixed_polytope(name):
     if name == "EX72":
         return minkowski_sum(convex_hull(_FIXED["T0"]),
                              convex_hull((_O, _E1, _E3)))
+    return convex_hull(_FIXED[name])
+
+
+def named_polytope(name):
+    """Look up a catalog polytope by name.
+
+    The fixed entries (all but ``Tab`` and ``Howe``) are built once and
+    shared.  Raises ``ValueError`` for unknown names.
+    """
+    if name in _FIXED or name == "EX72":
+        return _fixed_polytope(name)
     if ":" in name:
         head, _, tail = name.partition(":")
         if head == "Tab":
@@ -75,7 +82,8 @@ def named_polytope(name):
         if head == "Howe":
             a, b = _parse_params(tail)
             return convex_hull((_O, _E1, _E2, _E3, (a, b, 1)))
-    raise KeyError(name)
+    raise ValueError(f"unknown polytope {name!r}; "
+                     f"choose from {', '.join(catalog_names())}")
 
 
 def catalog_names():

@@ -8,7 +8,8 @@ a CSV report is requested.  Exit codes: 0 success, 1 verify mismatch,
 The --threads value (or the TORIC3_THREADS environment variable) caps
 the BLAS worker pool; it is accepted before or after the subcommand,
 overrides inherited OMP/OpenBLAS/MKL thread settings, is applied before
-numpy is imported, and results never depend on it.
+numpy is imported, and results never depend on it; a value that is not
+a positive integer exits 2.  Warnings go to stderr, one line each.
 """
 
 from __future__ import annotations
@@ -17,22 +18,20 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 
-def _apply_threads(argv):
-    n = None
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif a.startswith("--threads="):
-            n = a.split("=", 1)[1]
+def _apply_threads(args):
+    n, source = getattr(args, "threads", None), "--threads"
     if n is None:
-        n = os.environ.get("TORIC3_THREADS")
-    if n:
+        n, source = os.environ.get("TORIC3_THREADS") or None, "TORIC3_THREADS"
+    if n is not None:
+        if not (n.strip().isdecimal() and int(n) > 0):
+            raise ValueError(f"{source} must be a positive integer: {n!r}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+            os.environ[var] = str(int(n))
 
 
 def _jsonable(x):
@@ -400,7 +399,6 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    import warnings
     warnings.filterwarnings("ignore")
     if args.suite not in _SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; "
@@ -419,7 +417,7 @@ def _cmd_verify(args):
 
 def _build_parser():
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    threads.add_argument("--threads", default=argparse.SUPPRESS,
                          help="cap for the BLAS worker pool "
                               "(or TORIC3_THREADS); results are unaffected")
     ap = argparse.ArgumentParser(
@@ -481,7 +479,6 @@ def _build_parser():
 
 
 def run(argv):
-    _apply_threads(argv)
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
@@ -491,7 +488,11 @@ def run(argv):
         ap.print_help()
         return 2
     try:
-        return args.fn(args)
+        _apply_threads(args)  # before the command imports numpy
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,10 @@ Relative normalized volumes are therefore integers.
 Affine unimodular equivalence compares one normal form per polytope: over
 the affine bases of vertices of least |det|, the least sorted vertex
 image under the map that puts the basis into Hermite normal form (see
-``_normal_form``).  Equal keys decide equivalence, and the maps that
-attain a key supply the witnesses and the candidate linear parts of
-tuple equivalence.
+``_normal_form``), tried only on the bases whose invariant vertex labels
+come in least order, after Grinis and Kasprzyk.  Equal keys decide
+equivalence, and the maps that attain a key supply the witnesses and
+the candidate linear parts of tuple equivalence.
 """
 
 from __future__ import annotations
@@ -850,16 +851,20 @@ def _hnf_transform(D):
 def _normal_form(P):
     """(key, maps): the affine normal form of P and the maps onto it.
 
-    For a full-dimensional P in Z^d, every ordered affine basis
-    (v_0, ..., v_d) of vertices with minimal |det(v_i - v_0)| gives the map
-    x -> U (x - v_0), U the Hermite transform of the columns v_i - v_0; the
-    key is the least sorted image of the vertices under these maps, and
-    ``maps`` holds every map that attains it.  A unimodular x -> A x + b
-    turns each U into U A^-1 and so keeps every candidate image: the key
-    is an invariant, and ``maps`` is the set of all maps of P onto
-    conv(key).  A lower-dimensional P takes the key of ``_inner`` and
-    lifts its maps through the frame to maps of Z^n that carry P onto
-    conv(key) x {0}; a point's key is ((),).  Computed once per polytope.
+    For a full-dimensional P in Z^d, label each vertex v by the sorted |det|
+    of all (d+1)-subsets of vertices that contain v.  The candidates are
+    the ordered affine bases (v_0, ..., v_d) of vertices with minimal
+    |det(v_i - v_0)| whose label sequence is the least sorted one; each
+    gives the map x -> U (x - v_0), U the Hermite transform of the columns
+    v_i - v_0.  The key is the least sorted image of the vertices under
+    these maps, and ``maps`` holds every map that attains it.  A unimodular
+    x -> A x + b keeps every |det| and label, so it carries the candidates
+    onto those of its image and turns each U into U A^-1: the key is an
+    invariant.  Automorphisms of P permute the candidates, so ``maps`` is
+    the set of all maps of P onto conv(key).  A lower-dimensional P takes
+    the key of ``_inner`` (the same code in Z^dim) and lifts its maps
+    through the frame to maps of Z^n that carry P onto conv(key) x {0}; a
+    point's key is ((),).  Computed once per polytope.
     """
     if P._nf is not None:
         return P._nf
@@ -881,16 +886,23 @@ def _normal_form(P):
         P._nf = key, tuple(maps)
     else:
         verts = P.vertices
+        dets = {v: [] for v in verts}
         least, simplices = None, []
         for simplex in itertools.combinations(verts, n + 1):
             det = abs(mat_det([vsub(v, simplex[0]) for v in simplex[1:]]))
+            for v in simplex:
+                dets[v].append(det)
             if det and (least is None or det < least):
                 least, simplices = det, [simplex]
             elif det == least:
                 simplices.append(simplex)
+        label = {v: tuple(sorted(ds)) for v, ds in dets.items()}
+        first = min(sorted(map(label.get, s)) for s in simplices)
         key, found = None, []
         for basis in itertools.chain.from_iterable(
                 map(itertools.permutations, simplices)):
+            if list(map(label.get, basis)) != first:
+                continue
             v0 = basis[0]
             U = _hnf_transform(mat_transpose([vsub(v, v0) for v in basis[1:]]))
             image = tuple(sorted(mat_vec(U, vsub(v, v0)) for v in verts))
@@ -908,8 +920,8 @@ def equivalent(P, Q):
 
     P and Q are equivalent iff their normal forms have the same key.  The
     witness is then phi_Q^-1 o phi_P for phi_P and phi_Q the first maps of
-    P and of Q onto it, first in the order of their affine bases
-    (combinations of the sorted vertices, then their orderings).
+    P and of Q onto it, first in the order in which ``_normal_form``
+    tries their affine bases.
     """
     if P.ambient != Q.ambient:
         raise ValueError("dimension mismatch")

@@ -35,6 +35,13 @@ class TestInfo:
     def test_unknown_catalog_name(self, capsys):
         assert cli.run(["info", "@nonsense"]) == 2
 
+    def test_unknown_catalog_name_message(self, capsys):
+        assert cli.run(["pair", "@S2", "@S2x"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: unknown polytope 'S2x'; choose from ")
+        assert "S2, " in err[0] and "Howe:a,b" in err[0]
+
     def test_bad_tab_parameters(self, capsys):
         assert cli.run(["info", "@Tab:2,2"]) == 2
 
@@ -247,6 +254,15 @@ class TestCode:
         assert out[0] == "n,k,d,N_P,griesmer,gv"
         assert out[1] == "64,8,36,28,47,37"
 
+    def test_width_warning_is_one_stderr_line(self, capsys):
+        # P8 has coordinate width 35 > q - 2 = 3
+        assert cli.run(["code", "@P8", "--q", "5"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["d"] == 36
+        assert captured.err.splitlines() == [
+            "warning: coordinate width 35 exceeds q-2=3; distinct lattice "
+            "points may evaluate identically"]
+
     def test_json_report(self, capsys):
         rc, out = run_json(capsys, ["code", "@P8", "--q", "5"])
         assert rc == 0
@@ -371,3 +387,28 @@ class TestThreadSettings:
     def test_inherited_kept_without_setting(self, inherited, capsys):
         assert cli.run(["info", "@S1"]) == 0
         assert self.pools() == ["4", "4", "4"]
+
+    @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3"],
+                                      ["--threads=abc"], ["--threads", "1.5"]])
+    def test_bad_flag_value(self, inherited, capsys, argv):
+        assert cli.run(["info", "@S1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: --threads must be a positive integer: ")
+        assert self.pools() == ["4", "4", "4"]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_env_value(self, inherited, capsys, value):
+        inherited.setenv("TORIC3_THREADS", value)
+        assert cli.run(["info", "@S1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: TORIC3_THREADS must be a positive integer: "
+                       f"{value!r}"]
+        assert self.pools() == ["4", "4", "4"]
+
+    def test_flag_wins_over_bad_env_value(self, inherited, capsys):
+        inherited.setenv("TORIC3_THREADS", "abc")
+        assert cli.run(["info", "@S1", "--threads", "2"]) == 0
+        assert self.pools() == ["2", "2", "2"]

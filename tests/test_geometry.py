@@ -791,6 +791,48 @@ class TestNormalForm:
             # the maps are all the maps onto the key, one per automorphism
             assert len(maps) == brute_force_maps(P, P)
 
+    @pytest.mark.parametrize("host", [
+        "cube", "square", "hexagon", "triangle", "flat triangle",
+        "E", "K1", "K2", "S1", "S2"])
+    def test_symmetric_hosts(self, rng, host):
+        # every vertex label ties (or nearly), so whole groups of equal
+        # labels are permuted; the key must still be invariant and the
+        # maps must still be all automorphisms
+        shapes = {
+            "cube": UNIT_CUBE,
+            "square": [(0, 0), (1, 0), (0, 1), (1, 1)],
+            "hexagon": [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)],
+            "triangle": [(0, 0), (1, 0), (0, 1)],
+            "flat triangle": [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        }
+        P = (convex_hull(shapes[host]) if host in shapes
+             else named_polytope(host))
+        images = [random_affine_map(rng, P.ambient).apply_polytope(P)
+                  for _ in range(3)]
+        assert [_normal_form(Q)[0] for Q in images] == [_normal_form(P)[0]] * 3
+        for Q in [P] + images:
+            maps = _normal_form(Q)[1]
+            assert len(maps) == brute_force_maps(Q, Q)
+            for psi in maps:
+                assert tuple(sorted(map(psi, Q.vertices))) == padded_key(P)
+            phi = equivalent(P, Q)
+            assert phi is not None and phi.apply_polytope(P) == Q
+
+    @pytest.mark.parametrize("points, calls", [
+        ([(0, 0, 0), (2, 0, 1), (1, 3, 0), (0, 1, 2), (1, 1, 4)], 1),
+        (UNIT_CUBE, 1344),
+    ])
+    def test_hnf_count(self, monkeypatch, points, calls):
+        # distinct labels leave one ordered basis; the cube's 8 vertices
+        # tie, so all 24 orderings of its 56 unimodular simplices remain
+        from toric3 import geometry
+        seen = []
+        hnf = geometry._hnf_transform
+        monkeypatch.setattr(geometry, "_hnf_transform",
+                            lambda D: seen.append(D) or hnf(D))
+        _normal_form(convex_hull(points))
+        assert len(seen) == calls
+
     def test_tuple_without_full_dimensional_member(self, rng):
         # no member spans Z^3, so the Minkowski sum is the pivot
         tuples = [
