@@ -33,15 +33,6 @@ def floor_2sqrt(q):
     return isqrt(4 * q)
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    for p in range(2, isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def is_prime_power(n):
     if n < 2:
         return False

@@ -100,16 +100,22 @@ def parse_polytope(spec):
     if spec.startswith("@"):
         return named_polytope(spec[1:])
     with open(spec) as fh:
-        data = json.load(fh)
-    try:
-        verts = [tuple(int(x) for x in v) for v in data["vertices"]]
-    except (TypeError, KeyError):
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{spec}: not a JSON file ({exc})") from None
+    verts = data.get("vertices") if isinstance(data, dict) else None
+    if not isinstance(verts, list) or not all(  # JSON integers, not bools
+            isinstance(v, list) and all(type(x) is int for x in v)
+            for v in verts):
         raise ValueError(f"{spec}: expected a JSON object with a "
-                         f"'vertices' list of integer tuples") from None
+                         f"'vertices' list of integer tuples")
+    verts = list(map(tuple, verts))
     want2 = bool(data.get("dim2", False))
     n = len(verts[0]) if verts else 0
     if want2 and n != 2:
-        raise ValueError("dim2 polytope must have 2 coordinates per vertex")
+        raise ValueError(f"{spec}: dim2 polytope must have 2 coordinates "
+                         "per vertex")
     if n not in (2, 3):
-        raise ValueError("vertices must live in Z^2 or Z^3")
+        raise ValueError(f"{spec}: vertices must live in Z^2 or Z^3")
     return convex_hull(verts)

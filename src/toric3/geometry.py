@@ -9,11 +9,12 @@ coordinates stay far below overflow at the scales this library targets),
 and a box of more than 2^26 columns x inequalities is refused.
 Segment sums P + [0, u] reach it with no hull, from P's facets and edges
 (``segment_sums``).
-A lower-dimensional polytope carries an integer affine frame: with
-U A V = S the Smith normal form of its difference vectors A, the rows of
-V^-1 form the frame, its first dim rows are a basis of the lattice
-aff(P) & Z^n, and a lattice point p has the integer coordinates V^T
-(p - origin), whose last n - dim entries vanish exactly on aff(P).
+A lower-dimensional polytope carries an integer affine frame: with U
+the unimodular transform that puts the columns A^T of its difference
+vectors into Hermite normal form U A^T = H (zero below row dim), the
+columns of U^-1 form the frame, its first dim columns are a basis of the
+lattice aff(P) & Z^n, and a lattice point p has the integer coordinates
+U (p - origin), whose last n - dim entries vanish exactly on aff(P).
 Relative normalized volumes are therefore integers.
 
 Affine unimodular equivalence compares one normal form per polytope: over
@@ -167,98 +168,50 @@ def int_rank(vectors):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (with transforms) and integer affine frames
+# Hermite normal form (with transform) and integer affine frames
 
-def smith_normal_form(A):
-    """Return (S, U, V) with U A V = S, U and V unimodular, S diagonal.
+def _hnf_transform(D):
+    """The unimodular U with U D in Hermite normal form, for any integer
+    matrix D: U D is in row-echelon form, each pivot p is positive and
+    the entries above it lie in [0, p).  U is unique when D is square and
+    nonsingular (then U D is upper triangular)."""
+    m, n = len(D), len(D[0])
+    rows = [list(D[i]) + [int(i == j) for j in range(m)] for i in range(m)]
+    r = 0  # next pivot row
 
-    A is a list of rows of equal length; entries are Python ints.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S = [list(row) for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    def reduce(i, j):  # row i -= floor(rows[i][j] / rows[r][j]) * row r
+        f = rows[i][j] // rows[r][j]
+        rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
 
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):  # row dst += f * row src
-        S[dst] = [x + f * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + f * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(src, dst, f):
-        for row in S:
-            row[dst] += f * row[src]
-        for row in V:
-            row[dst] += f * row[src]
-
-    def diagonalize_from(t0):
-        t = t0
-        while t < min(m, n):
-            # pivot: nonzero entry of smallest absolute value in S[t:, t:]
-            piv = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if S[i][j] and (best is None or abs(S[i][j]) < best):
-                        best = abs(S[i][j])
-                        piv = (i, j)
-            if piv is None:
+    for j in range(n):
+        live = [i for i in range(r, m) if rows[i][j]]
+        if not live:
+            continue
+        while True:  # Euclid on column j from row r down
+            p = min(live, key=lambda i: abs(rows[i][j]))
+            rows[r], rows[p] = rows[p], rows[r]
+            if len(live) == 1:
                 break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            done = False
-            while not done:
-                done = True
-                for i in range(t + 1, m):
-                    if S[i][t]:
-                        add_row(t, i, -(S[i][t] // S[t][t]))
-                        if S[i][t]:
-                            swap_rows(t, i)
-                            done = False
-                for j in range(t + 1, n):
-                    if S[t][j]:
-                        add_col(t, j, -(S[t][j] // S[t][t]))
-                        if S[t][j]:
-                            swap_cols(t, j)
-                            done = False
-            if S[t][t] < 0:
-                S[t] = [-x for x in S[t]]
-                U[t] = [-x for x in U[t]]
-            t += 1
-        return t
-
-    rank = diagonalize_from(0)
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            if S[i + 1][i + 1] % S[i][i] != 0:
-                add_col(i + 1, i, 1)
-                diagonalize_from(i)
-                changed = True
-                break
-    return S, U, V
+            for i in range(r + 1, m):
+                reduce(i, j)
+            live = [i for i in range(r, m) if rows[i][j]]
+        if rows[r][j] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            reduce(i, j)
+        r += 1
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def _frame(diffs):
     """Integer frame of the lattice span_Q(diffs) & Z^n.
 
-    Returns (rows of V^-1, rows of V^T) for U A V = S the Smith normal form
-    of the rows ``diffs``: the first rank(A) rows of V^-1 are a basis of
-    the lattice, and V^T d gives the coordinates of d in the frame.
+    Returns (rows of (U^-1)^T, rows of U) for U the Hermite transform of
+    the columns ``diffs``: the first rank rows of (U^-1)^T are a basis of
+    the lattice, and U d gives the coordinates of d in the frame.
     """
-    V = tuple(tuple(row) for row in smith_normal_form(diffs)[2])
-    return mat_inverse_unimodular(V), mat_transpose(V)
+    U = _hnf_transform(mat_transpose(diffs))
+    return mat_transpose(mat_inverse_unimodular(U)), U
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +427,7 @@ class Polytope:
     ``facets`` holds the irredundant half-space system
     ``<normal, x> >= offset`` with primitive normals.  A lower-dimensional
     polytope carries its integer affine frame (``_origin``, the rows
-    ``_frame`` of V^-1 and ``_coframe`` of V^T; see the module docstring)
+    ``_frame`` of (U^-1)^T and ``_coframe`` of U; see the module docstring)
     and ``_inner``, the full-dimensional polytope of its frame coordinates
     over aff(P) & Z^n, whose facets it shares.
     """
@@ -532,7 +485,7 @@ class Polytope:
         return v
 
     def _coords(self, p):
-        """Frame coordinates V^T (p - origin) of p; the last n - dim of
+        """Frame coordinates U (p - origin) of p; the last n - dim of
         them vanish exactly when p lies in aff(P)."""
         return mat_vec(self._coframe, vsub(p, self._origin))
 
@@ -820,33 +773,6 @@ class RationalHalfSpaceSystem:
 
 # ---------------------------------------------------------------------------
 # AGL(n, Z)-equivalence by an affine normal form
-
-def _hnf_transform(D):
-    """The unimodular U with U D in Hermite normal form, for D square and
-    nonsingular: U D is upper triangular with a positive diagonal and
-    0 <= (U D)[i][j] < (U D)[j][j] for i < j, which makes U unique."""
-    d = len(D)
-    rows = [list(D[i]) + [int(i == j) for j in range(d)] for i in range(d)]
-
-    def reduce(i, j):  # row i -= floor(rows[i][j] / rows[j][j]) * row j
-        f = rows[i][j] // rows[j][j]
-        rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
-
-    for j in range(d):
-        while True:  # Euclid on column j from the diagonal down
-            live = [i for i in range(j, d) if rows[i][j]]
-            p = min(live, key=lambda i: abs(rows[i][j]))
-            rows[j], rows[p] = rows[p], rows[j]
-            if len(live) == 1:
-                break
-            for i in range(j + 1, d):
-                reduce(i, j)
-        if rows[j][j] < 0:
-            rows[j] = [-x for x in rows[j]]
-        for i in range(j):
-            reduce(i, j)
-    return tuple(tuple(row[d:]) for row in rows)
-
 
 def _normal_form(P):
     """(key, maps): the affine normal form of P and the maps onto it.

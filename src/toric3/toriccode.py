@@ -27,14 +27,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import numpy as np
 
 from .bounds import (BoundReport, dps_volume_bound, griesmer_max_d, gv_max_d,
                      simplex_bound, width_one_final_bound, char_of)
-from .geometry import (Polytope, lattice_width, normalized_volume,
-                       smith_normal_form)
+from .geometry import (_MAX_CELLS, Polytope, _hnf_transform, lattice_width,
+                       mat_mul, mat_transpose, normalized_volume)
 from .gfq import make_field
 from .minklen import minkowski_length
 
@@ -65,47 +65,25 @@ def _vec_scale(field, s, a):
     return out
 
 
-def _row_reduce(field, rows):
-    """Indices of the first maximal independent subset of ``rows``: the
-    pivot columns of the row-echelon form of their transpose."""
-    work = np.array(rows, dtype=np.int64).T
-    basis = []
-    for r in range(work.shape[0]):
-        live = np.flatnonzero(work[r:].any(axis=0))
+def _echelon(field, mat):
+    """Reduced row-echelon form of a matrix of element codes: (pivot
+    columns, R) with R = E mat for an invertible E, restricted to its
+    len(pivots) nonzero rows, and R[:, pivots] the identity."""
+    R = np.array(mat, dtype=np.int64)
+    pivots = []
+    for r in range(min(R.shape)):
+        live = np.flatnonzero(R[r:].any(axis=0))
         if live.size == 0:
             break
         c = int(live[0])
-        i = r + int(np.flatnonzero(work[r:, c])[0])
-        work[[r, i]] = work[[i, r]]
-        pivot = _vec_scale(field, field.inv(int(work[r, c])), work[r])
-        below = work[r + 1:]
-        work[r + 1:] = _vec_sub(field, below,
-                                _vec_scale(field, below[:, c:c + 1], pivot))
-        basis.append(c)
-    return basis
-
-
-def _gf_inv(field, mat):
-    """Inverse of a k x k matrix of element codes (Gauss-Jordan)."""
-    k = mat.shape[0]
-    aug = np.concatenate([mat.copy(), np.eye(k, dtype=np.int64)], axis=1)
-    for i in range(k):
-        piv = next((r for r in range(i, k) if aug[r, i] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != i:
-            aug[[i, piv]] = aug[[piv, i]]
-        aug[i] = _vec_scale(field, field.inv(int(aug[i, i])), aug[i])
-        others = aug[:, i:i + 1].copy()
-        others[i] = 0
-        aug = _vec_sub(field, aug, _vec_scale(field, others, aug[i]))
-    return aug[:, k:]
-
-
-def _gf_matmul(field, a, b):
-    """Exact product of code matrices a (r x k) and b (k x n)."""
-    terms = field.codes_to_digits(_vec_scale(field, a[:, :, None], b))
-    return field.digits_to_codes(terms.sum(axis=1))  # sum over k
+        i = r + int(np.flatnonzero(R[r:, c])[0])
+        R[[r, i]] = R[[i, r]]
+        R[r] = _vec_scale(field, field.inv(int(R[r, c])), R[r])
+        factors = R[:, c:c + 1].copy()
+        factors[r] = 0
+        R = _vec_sub(field, R, _vec_scale(field, factors, R[r]))
+        pivots.append(c)
+    return pivots, R[:len(pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +208,13 @@ def build_code(P, q):
             stacklevel=2)
     reduced = exps % (q - 1)
     injective = len({tuple(r) for r in reduced}) == len(pts)
+    if len(pts) * (q - 1) ** m > _MAX_CELLS:
+        raise ValueError(f"evaluation matrix too large: {len(pts)} points x "
+                         f"{(q - 1) ** m} torus points > 2^26")
     grid = np.indices((q - 1,) * m).reshape(m, -1)  # (m, n) discrete logs
     logs = (reduced @ grid) % (q - 1)               # (|P|, n)
     evals = field.exp[logs]
-    basis = _row_reduce(field, list(evals))
+    basis = _echelon(field, evals.T)[0]
     gen = evals[basis]
     return ToricCode(field=field, polytope=P, exponents=tuple(pts),
                      matrix=gen, n=grid.shape[1], k=len(basis),
@@ -279,10 +260,13 @@ def _sweep_plan(code):
         for r in left:
             if len(frame) == width:
                 break
-            # rows (1, a): the invariant factors must be units mod q-1
-            S, _, _ = smith_normal_form(
-                [[1] + [x % (q - 1) for x in exps[i]] for i in frame + [r]])
-            if all(gcd(S[j][j], q - 1) == 1 for j in range(len(frame) + 1)):
+            # rows (1, a): the gcd of their maximal minors, the diagonal
+            # product of the Hermite form of the columns, must be a unit
+            # mod q-1 (it is 0 when the rows are dependent)
+            D = mat_transpose([[1] + [x % (q - 1) for x in exps[i]]
+                               for i in frame + [r]])
+            H = mat_mul(_hnf_transform(D), D)
+            if gcd(prod(H[j][j] for j in range(len(frame) + 1)), q - 1) == 1:
                 frame.append(r)
         left = [r for r in left if r not in frame]
         levels.append((frame, left))
@@ -301,12 +285,11 @@ def exhaustive_cost(q, k, n, frames=None):
     return total * n
 
 
-def min_weight_exhaustive(code, early_stop=None):
+def min_weight_exhaustive(code):
     """Exact minimum weight by a sweep over the rescaling-orbit strata.
 
-    ``early_stop``: return as soon as a weight at most this value is
-    seen.  Raises BudgetExceeded when the sweep would perform more than
-    BUDGET coordinate updates.
+    Raises BudgetExceeded when the sweep would perform more than BUDGET
+    coordinate updates.
     """
     q, k, n = code.field.q, code.k, code.n
     levels, cost = _sweep_plan(code)
@@ -322,36 +305,33 @@ def min_weight_exhaustive(code, early_stop=None):
         rows = max(1, _CHUNK_COORDS // (len(values) * n))
         for msgs in _message_batches(q, k, frame, free[:-1], rows):
             w = n - int(engine.count(engine.codes(msgs), c, values).max())
-            if w < best:
-                best = w
-                if early_stop is not None and best <= early_stop:
-                    return best
+            best = min(best, w)
     return best
 
 
 def _information_sets(field, gen):
     """Greedy disjoint information sets with deficiencies.
 
-    Returns a list of (columns, deficiency): each set has k columns whose
-    submatrix is invertible; ``deficiency`` counts columns borrowed from
-    earlier sets once fresh columns run out of rank.  A set is the pivot
-    columns of the unused columns, completed by those of the used ones.
+    Returns a list of (columns, deficiency, systematic): each set has k
+    columns I whose submatrix is invertible, and ``systematic`` is
+    inv(G_I) G; ``deficiency`` counts columns borrowed from earlier sets
+    once fresh columns run out of rank.  A set is the pivot columns of
+    one elimination on the unused columns followed by the used ones.
     """
     k, n = gen.shape
     used = np.zeros(n, dtype=bool)
     sets = []
     while True:
-        unused = np.flatnonzero(~used)
-        fresh = unused[_row_reduce(field, gen[:, unused].T)]
-        if fresh.size == 0:
+        order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
+        pivots, R = _echelon(field, gen[:, order])
+        cols = order[pivots]
+        fresh = cols[~used[cols]]
+        if fresh.size == 0 or cols.size < k:
             break
-        chosen = fresh
-        if fresh.size < k:
-            cols = np.concatenate([fresh, np.flatnonzero(used)])
-            chosen = cols[_row_reduce(field, gen[:, cols].T)]
-            if chosen.size < k:
-                break
-        sets.append((tuple(int(c) for c in chosen), k - fresh.size))
+        systematic = np.empty_like(R)
+        systematic[:, order] = R
+        sets.append((tuple(int(c) for c in cols), k - fresh.size,
+                     systematic))
         used[fresh] = True
     return sets
 
@@ -389,12 +369,8 @@ def min_weight_bz(code):
     q, k, n = field.q, code.k, code.n
     if k > 24:
         raise ValueError("BZ engine is configured for k <= 24")
-    sets = _information_sets(field, gen)
-    systems = []
-    for cols, delta in sets:
-        inv = _gf_inv(field, gen[:, cols])
-        systems.append((_WeightEngine(field, _gf_matmul(field, inv, gen)),
-                        delta))
+    systems = [(_WeightEngine(field, systematic), delta)
+               for _, delta, systematic in _information_sets(field, gen)]
     best = n
     for w in range(1, k + 1):
         values = range(1, q if w > 1 else 2)
@@ -412,15 +388,15 @@ def min_weight_bz(code):
     return best
 
 
-def min_weight(code, engine="auto", early_stop=None):
+def min_weight(code, engine="auto"):
     if engine == "exhaustive":
-        return min_weight_exhaustive(code, early_stop=early_stop)
+        return min_weight_exhaustive(code)
     if engine == "bz":
         return min_weight_bz(code)
     if engine != "auto":
         raise ValueError("engine must be auto, exhaustive, or bz")
     if _sweep_plan(code)[1] <= BUDGET:
-        return min_weight_exhaustive(code, early_stop=early_stop)
+        return min_weight_exhaustive(code)
     return min_weight_bz(code)
 
 

@@ -65,6 +65,28 @@ class TestPolytopeFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, [1]])
+    def test_non_integer_coordinate_rejected(self, tmp_path, capsys, bad):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(
+            {"vertices": [[0, 0, 0], [bad, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        assert cli.run(["info", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {f}: expected a JSON object with a 'vertices' list of "
+            "integer tuples"]
+
+    @pytest.mark.parametrize("content", [
+        "vertices: 0 0 0", '{"vertices": [[0, 0, 0, 0], [1, 0, 0, 0]]}',
+        '{"vertices": [[0, 0, 0], [1, 0, 0]], "dim2": true}'])
+    def test_bad_content_names_the_file(self, tmp_path, capsys, content):
+        f = tmp_path / "bad.json"
+        f.write_text(content)
+        assert cli.run(["info", str(f)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {f}: ")
+
 
 class TestModuleEntryPoint:
     def test_python_m_toric3(self):
@@ -253,6 +275,16 @@ class TestCode:
         assert rc == 0
         assert out[0] == "n,k,d,N_P,griesmer,gv"
         assert out[1] == "64,8,36,28,47,37"
+
+    @pytest.mark.parametrize("cmd", ["code", "bounds"])
+    def test_evaluation_matrix_too_large(self, capsys, cmd):
+        # |P| (q-1)^3 evaluations: 8 x 2^48 for P8 at q = 65537
+        assert cli.run([cmd, "@P8", "--q", "65537"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: evaluation matrix too large: 8 points x "
+            "281474976710656 torus points > 2^26"]
 
     def test_width_warning_is_one_stderr_line(self, capsys):
         # P8 has coordinate width 35 > q - 2 = 3

@@ -9,14 +9,14 @@ from conftest import (random_affine_map, random_points, random_polytope,
                       random_unimodular)
 from toric3.catalog import catalog_names, named_polytope
 from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
-                             _adjugate, _normal_form, ambient_vol3,
-                             canonical_sign, convex_hull, cross, equivalent,
-                             erode, int_rank, is_primitive, lattice_points,
-                             lattice_width, mat_det, mat_mul, mat_vec,
-                             minkowski_sum, mixed_area, normalized_volume,
-                             segment_sums, shape_predicates, smith_normal_form,
-                             tuple_equivalent, vadd, vdot, vneg, vol2, vsub,
-                             width_in_direction)
+                             _adjugate, _hnf_transform, _normal_form,
+                             ambient_vol3, canonical_sign, convex_hull, cross,
+                             equivalent, erode, int_rank, is_primitive,
+                             lattice_points, lattice_width, mat_det, mat_mul,
+                             mat_vec, minkowski_sum, mixed_area,
+                             normalized_volume, segment_sums,
+                             shape_predicates, tuple_equivalent, vadd, vdot,
+                             vneg, vol2, vsub, width_in_direction)
 from toric3.minklen import good_polytope
 
 
@@ -264,23 +264,31 @@ class TestExactLinearAlgebra:
         assert int_rank([(1, 2, 3), (2, 4, 6), (0, 0, 1)]) == 2
         assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
 
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (3, 2)])
-    def test_smith_normal_form_random(self, rng, shape):
-        for _ in range(40):
-            A = tuple(tuple(int(v) for v in row)
-                      for row in rng.integers(-6, 7, size=shape))
-            S, U, V = smith_normal_form(A)
-            assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
-            prod = mat_mul(mat_mul(U, A), V)
-            assert [list(r) for r in prod] == [list(r) for r in S]
-            diag = [S[i][i] for i in range(min(shape))]
-            for i in range(len(diag) - 1):
-                if diag[i + 1] != 0:
-                    assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            for i, row in enumerate(S):
-                for j, v in enumerate(row):
-                    if i != j:
-                        assert v == 0
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3, 3), (2, 5),
+                                       (3, 2), (3, 6)])
+    def test_hnf_transform_random(self, rng, shape):
+        m, n = shape
+        for rank in range(min(shape) + 1):
+            for _ in range(15):
+                # rank <= ``rank``: a product through Z^rank, some columns
+                # zeroed
+                A = rng.integers(-3, 4, size=(m, rank)) @ \
+                    rng.integers(-3, 4, size=(rank, n))
+                A[:, rng.random(n) < 0.2] = 0
+                D = tuple(tuple(int(v) for v in row) for row in A)
+                U = _hnf_transform(D)
+                assert abs(mat_det(U)) == 1
+                H = mat_mul(U, D)
+                leads = [next((j for j, v in enumerate(row) if v), n)
+                         for row in H]
+                r = sum(lead < n for lead in leads)
+                assert r == int_rank(D)
+                # nonzero rows first, pivots strictly to the right
+                assert leads[:r] == sorted(set(leads[:r]))
+                assert all(lead == n for lead in leads[r:])
+                for i, j in enumerate(leads[:r]):
+                    assert H[i][j] > 0
+                    assert all(0 <= H[k][j] < H[i][j] for k in range(i))
 
 
 class TestVolumes:

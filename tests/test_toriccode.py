@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from toric3.gfq import make_field
 def random_code(rng, field, k, n):
     while True:
         G = rng.integers(0, field.q, size=(k, n)).astype(np.int64)
-        basis = tc._row_reduce(field, list(G))
+        basis = tc._echelon(field, G.T)[0]
         if len(basis) == k:
             return tc.ToricCode(field=field, polytope=None, exponents=(),
                                 matrix=G[basis], n=n, k=k, injective=True)
@@ -26,39 +27,65 @@ def random_code(rng, field, k, n):
 class TestGfLinearAlgebra:
     def test_row_reduce_detects_dependence(self):
         F = make_field(5)
-        rows = [np.array([1, 2, 3], dtype=np.int64),
-                np.array([2, 4, 1], dtype=np.int64),  # 2 * row 0 in GF(5)
-                np.array([0, 1, 0], dtype=np.int64)]
-        assert tc._row_reduce(F, rows) == [0, 2]
+        rows = np.array([[1, 2, 3],
+                         [2, 4, 1],  # 2 * row 0 in GF(5)
+                         [0, 1, 0]])
+        pivots, R = tc._echelon(F, rows.T)
+        assert pivots == [0, 2]
+        assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
 
     def test_inverse(self, rng):
+        # [M | I] reduces to [I | M^-1]
+        eye = np.eye(4, dtype=np.int64)
         for q in (4, 5, 9):
             F = make_field(q)
             for _ in range(10):
-                M = rng.integers(0, q, size=(4, 4)).astype(np.int64)
-                if len(tc._row_reduce(F, list(M))) < 4:
+                M = rng.integers(0, q, size=(4, 4))
+                pivots, R = tc._echelon(F, np.hstack([M, eye]))
+                if pivots != [0, 1, 2, 3]:  # M is singular
                     continue
-                inv = tc._gf_inv(F, M)
-                prod = tc._gf_matmul(F, inv, M)
-                assert np.array_equal(prod, np.eye(4, dtype=np.int64))
+                inv = R[:, 4:]
+                prod = [[scalar_dot(F, inv[i], M[:, j]) for j in range(4)]
+                        for i in range(4)]
+                assert prod == eye.tolist()
 
-    def test_singular_raises(self):
+    def test_singular_loses_pivots(self):
         F = make_field(5)
-        with pytest.raises(ValueError):
-            tc._gf_inv(F, np.zeros((2, 2), dtype=np.int64))
+        pivots, R = tc._echelon(F, np.zeros((2, 3), dtype=np.int64))
+        assert pivots == [] and R.shape == (0, 3)
+        pivots, R = tc._echelon(F, [[0, 1, 2], [0, 2, 4]])
+        assert pivots == [1] and R.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_reduced_and_adds_no_rank(self, rng, q):
+        F = make_field(q)
+        for _ in range(20):
+            M = rng.integers(0, q, size=(int(rng.integers(1, 7)), 8))
+            M[rng.random(M.shape) < 0.4] = 0  # force dependences
+            pivots, R = tc._echelon(F, M)
+            rank = len(greedy_rows(F, list(M)))
+            assert len(pivots) == rank == len(R)
+            assert pivots == sorted(pivots)
+            assert np.array_equal(R[:, pivots], np.eye(rank))
+            for i, c in enumerate(pivots):  # echelon: zero left of a pivot
+                assert not R[i, :c].any()
+            # R = E M for an invertible E: its rows add no rank to M's
+            assert len(greedy_rows(F, list(M) + list(R))) == rank
+
+
+def scalar_dot(F, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(int(x), int(y)))
+    return acc
 
 
 def scalar_zeros(F, msgs, G):
     """Zero count per message row of m @ G with scalar field operations."""
     out = []
     for m in msgs:
-        count = 0
-        for j in range(G.shape[1]):
-            acc = 0
-            for i in range(G.shape[0]):
-                acc = F.add(acc, F.mul(int(m[i]), int(G[i, j])))
-            count += acc == 0
-        out.append(count)
+        out.append(sum(scalar_dot(F, m, G[:, j]) == 0
+                       for j in range(G.shape[1])))
     return out
 
 
@@ -81,6 +108,53 @@ def oracle_polytope(rng, kind, q):
     if kind == "flat":
         return convex_hull([(x, y, x + y) for x, y, _ in P.vertices])
     return P
+
+
+def orbit_oracle_codes(rng):
+    """(q, kind, code, the code with its row exponents stripped) for
+    random small polytopes of each kind at q in {4, 5, 7, 8, 9}."""
+    for q in (4, 5, 7, 8, 9):
+        # a non-injective code has q points on a line, too many to
+        # sweep unreduced at q = 8, 9
+        kinds = ("solid", "flat", "planar") + ("wide",) * (q <= 7)
+        for kind in kinds * 2:
+            while True:
+                code = build_quietly(oracle_polytope(rng, kind, q), q)
+                plain = dataclasses.replace(code, row_exponents=())
+                if tc._sweep_plan(plain)[1] <= 3 * 10 ** 7:
+                    break
+            yield q, kind, code, plain
+
+
+def laplace_det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j, x in enumerate(M[0]))
+
+
+def minor_gcd_levels(code):
+    """``_sweep_plan``'s levels, with a frame accepted when the gcd of
+    the maximal minors of its rows (1, a mod q-1) is a unit mod q-1."""
+    q = code.field.q
+    exps = code.row_exponents or ((),) * code.k
+    width = len(exps[0]) + 1
+    left, levels = list(range(code.k)), []
+    while left:
+        frame = []
+        for r in left:
+            if len(frame) == width:
+                break
+            D = [[1] + [x % (q - 1) for x in exps[i]] for i in frame + [r]]
+            g = 0
+            for cols in itertools.combinations(range(width), len(D)):
+                g = math.gcd(g, laplace_det([[row[c] for c in cols]
+                                             for row in D]))
+            if math.gcd(g, q - 1) == 1:
+                frame.append(r)
+        left = [r for r in left if r not in frame]
+        levels.append((frame, left))
+    return levels
 
 
 class TestWeightEngine:
@@ -236,30 +310,22 @@ class TestMinWeight:
                 code = random_code(rng, F, k=int(rng.integers(2, 5)), n=18)
                 assert tc.min_weight_exhaustive(code) == tc.min_weight_bz(code)
 
-    def test_early_stop_is_an_upper_cut(self):
-        with pytest.warns(UserWarning):
-            code = tc.build_code(named_polytope("P8"), 5)
-        assert tc.min_weight_exhaustive(code, early_stop=64) <= 64
-
     def test_orbit_reduction_matches_projective_sweep(self, rng):
         # row exponents stripped: one-row frames, the projective sweep
         reduced = 0
-        for q in (4, 5, 7, 8, 9):
-            # a non-injective code has q points on a line, too many to
-            # sweep unreduced at q = 8, 9
-            kinds = ("solid", "flat", "planar") + ("wide",) * (q <= 7)
-            for kind in kinds * 2:
-                while True:
-                    code = build_quietly(oracle_polytope(rng, kind, q), q)
-                    plain = dataclasses.replace(code, row_exponents=())
-                    if tc._sweep_plan(plain)[1] <= 3 * 10 ** 7:
-                        break
-                assert len(code.row_exponents) == code.k
-                assert code.injective == (kind != "wide")
-                assert tc.min_weight_exhaustive(code) == \
-                    tc.min_weight_exhaustive(plain), (q, kind, code.exponents)
-                reduced += len(tc._sweep_plan(code)[0]) < code.k
+        for q, kind, code, plain in orbit_oracle_codes(rng):
+            assert len(code.row_exponents) == code.k
+            assert code.injective == (kind != "wide")
+            assert tc.min_weight_exhaustive(code) == \
+                tc.min_weight_exhaustive(plain), (q, kind, code.exponents)
+            reduced += len(tc._sweep_plan(code)[0]) < code.k
         assert reduced >= 20
+
+    def test_sweep_frames_match_minor_gcd(self, rng):
+        for q, kind, code, plain in orbit_oracle_codes(rng):
+            for c in (code, plain):
+                assert tc._sweep_plan(c)[0] == minor_gcd_levels(c), \
+                    (q, kind, c.row_exponents)
 
     def test_cost_of_frame_sizes(self):
         for q, k, n in ((2, 5, 1), (5, 8, 64), (9, 11, 512)):
@@ -330,7 +396,7 @@ class TestInformationSets:
         for _ in range(20):
             rows = rng.integers(0, q, size=(int(rng.integers(1, 9)), 7))
             rows[rng.random(rows.shape) < 0.5] = 0  # force dependences
-            assert tc._row_reduce(F, list(rows)) == greedy_rows(F, list(rows))
+            assert tc._echelon(F, rows.T)[0] == greedy_rows(F, list(rows))
 
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
     def test_same_sets_as_column_greedy(self, rng, q):
@@ -342,11 +408,11 @@ class TestInformationSets:
             G = code.matrix.copy()
             G[:, rng.random(code.n) < 0.3] = 0
             G[:, :code.k] = code.matrix[:, :code.k]
-            assert tc._information_sets(F, G) == \
+            assert [s[:2] for s in tc._information_sets(F, G)] == \
                 greedy_information_sets(F, G)
         if q <= 5:  # the oracle is slow on the longer codes
             code = tc.build_code(named_polytope("T1"), q)
-            assert tc._information_sets(F, code.matrix) == \
+            assert [s[:2] for s in tc._information_sets(F, code.matrix)] == \
                 greedy_information_sets(F, code.matrix)
 
     def test_disjoint_and_invertible(self, rng):
@@ -354,13 +420,17 @@ class TestInformationSets:
         code = random_code(rng, F, k=4, n=18)
         sets = tc._information_sets(F, code.matrix)
         fresh_cols = []
-        for cols, delta in sets:
+        for cols, delta, systematic in sets:
             assert len(cols) == 4
-            assert len(tc._row_reduce(F, list(code.matrix[:, cols].T))) == 4
+            assert len(tc._echelon(F, code.matrix[:, cols])[0]) == 4
+            # inv(G_I) G: the identity on I, in the row space of G
+            assert np.array_equal(systematic[:, cols], np.eye(4))
+            assert len(greedy_rows(F, list(code.matrix) + list(systematic))) \
+                == 4
             fresh_cols.append(set(cols))
         # first set has no deficiency; all-fresh sets are pairwise disjoint
         assert sets[0][1] == 0
-        full = [s for (s, (_, d)) in zip(fresh_cols, sets) if d == 0]
+        full = [s for (s, (_, d, _)) in zip(fresh_cols, sets) if d == 0]
         for i in range(len(full)):
             for j in range(i + 1, len(full)):
                 assert not (full[i] & full[j])
