@@ -161,17 +161,7 @@ def minkowski_length(P, search=None):
     cs = search if search is not None else _ChainSearch()
     frame, S = _pack(pts)
     L = _length(cs, frame, S)
-    # greedy certificate reconstruction along proven-feasible branches
-    dirs = []
-    for k in range(L, 0, -1):
-        for u in _directions(frame, S):
-            S2 = {x for x in S if x + u in S}
-            if len(S2) > k - 1 and cs.reach(frame, S2, k - 1):
-                dirs.append(_vector(frame, u))
-                S = S2
-                break
-    anchor = vadd(frame[2], _vector(frame, min(S)))
-    cert = Decomposition(tuple(sorted(dirs)), anchor)
+    cert = next(_decompositions(cs, frame, S, L))
     assert cert.verify(pts)
     return L, cert
 
@@ -193,6 +183,25 @@ def is_dps(P):
     return len(set(sums)) == len(sums)
 
 
+def _decompositions(cs, frame, S, L):
+    """Length-L erosion chains of the packed set S, depth first with
+    nondecreasing directions; erosions commute, so the first is greedy."""
+    def dfs(S, prefix):
+        if len(prefix) == L:
+            yield Decomposition(tuple(_vector(frame, u) for u in prefix),
+                                vadd(frame[2], _vector(frame, min(S))))
+            return
+        rest = L - len(prefix) - 1
+        for u in _directions(frame, S):
+            if prefix and u < prefix[-1]:
+                continue
+            S2 = {x for x in S if x + u in S}
+            if len(S2) > rest and cs.reach(frame, S2, rest):
+                yield from dfs(S2, prefix + [u])
+
+    return dfs(S, [])
+
+
 def maximal_segment_decompositions(P, search=None):
     """All direction multisets achieving L(P), each with one witness anchor,
     in canonical order."""
@@ -201,25 +210,7 @@ def maximal_segment_decompositions(P, search=None):
         return []
     cs = search if search is not None else _ChainSearch()
     frame, S = _pack(pts)
-    L = _length(cs, frame, S)
-    out = []
-
-    def dfs(S, prefix):
-        depth = len(prefix)
-        if depth == L:
-            out.append(Decomposition(
-                tuple(_vector(frame, u) for u in prefix),
-                vadd(frame[2], _vector(frame, min(S)))))
-            return
-        rest = L - depth - 1
-        for u in _directions(frame, S):
-            if prefix and u < prefix[-1]:
-                continue
-            S2 = {x for x in S if x + u in S}
-            if len(S2) > rest and cs.reach(frame, S2, rest):
-                dfs(S2, prefix + [u])
-
-    dfs(S, [])
+    out = _decompositions(cs, frame, S, _length(cs, frame, S))
     return sorted(out, key=lambda d: (d.directions, d.anchor))
 
 

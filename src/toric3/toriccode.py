@@ -17,9 +17,9 @@ the best weight found.
 
 Both engines enumerate messages whose last coordinate c runs fastest.
 The codeword of each prefix (c set to 0) is computed once, exactly, by
-matrix products in float32, or in float64 when an accumulated integer
-could reach 2^24, a base-p digit at a time; its zeros for every value
-of c follow at once.
+one product over F_p of its base-p digits with the F_p-expansion of the
+generator, in float32, or in float64 when an accumulated integer could
+reach 2^24; its zeros for every value of c follow at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import comb, gcd, prod
 import numpy as np
 
 from .bounds import (BoundReport, dps_volume_bound, griesmer_max_d, gv_max_d,
-                     simplex_bound, width_one_final_bound, char_of)
+                     simplex_bound, width_one_final_bound)
 from .geometry import (_MAX_CELLS, Polytope, _hnf_transform, lattice_width,
                        mat_mul, mat_transpose, normalized_volume)
 from .gfq import make_field
@@ -92,36 +92,30 @@ def _echelon(field, mat):
 class _WeightEngine:
     """Zero counts of the codewords m @ G for batches of messages m.
 
-    ``codes`` works on base-p digits: with struct[s] the digit vector of
-    x^s mod the field modulus, codeword digit t is sum_s (sum_{i+j=s} M_i
-    @ G_j) * struct[s][t] mod p.  ``count`` takes the codes of prefixes m
-    with m_c = 0 to the zeros of m + a e_c for all a at once: coordinate
-    j is a zero iff code_j = -a g_cj, one comparison against a table of
-    these multiples, built for each call in slices of at most
-    _CHUNK_COORDS codes.
+    ``codes`` works over F_p: GF(q) is F_p^e by base-p digits, and row
+    r e + i of the expansion of G holds the digits of x^i G_r, digit t
+    of coordinate j in column t n + j, so the message digits times the
+    expansion, mod p, are the codeword digits.  ``count`` takes the
+    codes of prefixes m with m_c = 0 to the zeros of m + a e_c for all a
+    at once: coordinate j is a zero iff code_j = -a g_cj, one comparison
+    against a table of these multiples, built for each call in slices of
+    at most _CHUNK_COORDS codes.
     """
 
     def __init__(self, field, gen):
         self.field = field
         self.k, self.n = gen.shape
-        self._struct = np.ones((1, 1), dtype=np.int64)  # GF(p): x^0 = 1
-        if field.e > 1:
-            x_code = field.p  # the element represented by the monomial x
-            self._struct = np.array(
-                [field.codes_to_digits(field.power(x_code, s))
-                 for s in range(2 * field.e - 1)], dtype=np.int64)
-        pairs = [min(s + 1, 2 * field.e - 1 - s)
-                 for s in range(2 * field.e - 1)]
-        top = self.k * (field.p - 1) ** 2 * int(  # bound on one digit sum
-            (np.array(pairs) @ self._struct).max())
+        top = self.k * field.e * (field.p - 1) ** 2  # bound on one sum
         if top > 2 ** 53:
             raise ValueError(f"weight sweep over GF({field.q}) with k="
                              f"{self.k} is not exact in float64")
         self._dtype = np.float32 if top < 2 ** 24 else np.float64
         self._int = np.int32 if top < 2 ** 31 else np.int64  # for the mod
         self._code = np.min_scalar_type(field.q - 1)
-        digs = field.codes_to_digits(gen)  # (k, n, e)
-        self._g = [digs[:, :, j].astype(self._dtype) for j in range(field.e)]
+        rows = [field.codes_to_digits(_vec_scale(field, field.p ** i, gen))
+                for i in range(field.e)]  # x^i G: (k, n, e) each
+        self._gen = np.stack(rows, axis=1).transpose(0, 1, 3, 2).reshape(
+            self.k * field.e, field.e * self.n).astype(self._dtype)
         # -a g = exp[log a + log(-g)]; log 0 = 2q - 2 points past both
         # copies of exp into zeros
         q = field.q
@@ -138,19 +132,13 @@ class _WeightEngine:
     def codes(self, msgs):
         """Codewords of a (b, k) batch of codes, as (b, n) codes in the
         smallest unsigned dtype that holds q - 1."""
-        F = self.field
-        mcols = F.codes_to_digits(msgs).transpose(2, 0, 1).astype(
-            self._dtype, order="C")  # (e, b, k)
-        conv = [0] * (2 * F.e - 1)
-        for i in range(F.e):
-            for j in range(F.e):
-                conv[i + j] = conv[i + j] + mcols[i] @ self._g[j]
-        out = 0
-        for t in range(F.e):
-            digit = sum(int(c) * conv[s]
-                        for s, c in enumerate(self._struct[:, t]) if c)
-            out = out + digit.astype(self._int) % F.p * F.p ** t
-        return out.astype(self._code)
+        F, n = self.field, self.n
+        digits = F.codes_to_digits(msgs).reshape(len(msgs), -1)
+        out = (digits.astype(self._dtype) @ self._gen).astype(self._int) % F.p
+        code = out[:, :n]
+        for t in range(1, F.e):
+            code = code + out[:, t * n:(t + 1) * n] * F.p ** t
+        return code.astype(self._code)
 
     def count(self, codes, c, values):
         """(b, len(values)) zero counts of m + a e_c, a in the range
@@ -179,6 +167,12 @@ class ToricCode:
     k: int
     injective: bool
     row_exponents: tuple = ()  # lattice point of each row; () if unknown
+
+    def __post_init__(self):
+        rank = len(_echelon(self.field, self.matrix)[0])
+        if self.matrix.shape != (self.k, self.n) or rank < self.k:
+            raise ValueError(f"generator {self.matrix.shape} of rank {rank}"
+                             f" is not a full-rank {self.k} x {self.n} matrix")
 
 
 @dataclass(frozen=True)
@@ -416,7 +410,7 @@ def params_report(P, q, engine="auto"):
     g_d = griesmer_max_d(code.n, code.k, q)
     gv_d = gv_max_d(code.n, code.k, q)
     L, _ = minkowski_length(P)
-    char_ok = char_of(q) > 41
+    char_ok = code.field.p > 41
     pts = np.array(code.exponents, dtype=np.int64)
     in_box = bool(np.all(pts.max(axis=0) - pts.min(axis=0) <= q - 2))
     box_flag = ("P fits in a translate of [0,q-2]^m", in_box)
@@ -435,7 +429,7 @@ def params_report(P, q, engine="auto"):
             "dps_volume", v, (("char > 41", char_ok), box_flag),
             (("vol3", normalized_volume(P)),)),
             n_p <= v if char_ok and in_box else None))
-    if P.ambient == 3 and lattice_width(P)[0] == 1:
+    if P.dim == 3 and lattice_width(P)[0] == 1:
         v = width_one_final_bound(L, q)
         reports.append((BoundReport(
             "width_one_final", v, (("q >= beta(P)", None), box_flag),

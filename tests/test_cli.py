@@ -301,6 +301,13 @@ class TestCode:
         assert (out["n"], out["k"], out["d"]) == (64, 8, 36)
         assert any(b["name"] == "griesmer" for b in out["bounds"])
 
+    def test_flat_t0_in_z3(self, capsys):
+        # T0 is flat (lattice width 0), so no width-one bound is reported
+        rc, out = run_json(capsys, ["code", "@T0", "--q", "5"])
+        assert rc == 0
+        assert (out["d"], out["N_P"]) == (40, 24)
+        assert "width_one_final" not in [b["name"] for b in out["bounds"]]
+
     def test_budget_exit_code(self, tmp_path):
         f = tmp_path / "big.json"
         big = [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]]
@@ -326,6 +333,11 @@ class TestBounds:
         assert rc == 0
         names = [b["name"] for b in out["bounds"]]
         assert "width_one_final" in names
+
+    def test_flat_polytope_reports(self, capsys):
+        rc, out = run_json(capsys, ["bounds", "@T0", "--q", "7"])
+        assert rc == 0
+        assert "width_one_final" not in [b["name"] for b in out["bounds"]]
 
     def test_unknown_formula(self):
         assert cli.run(["bounds", "--formula", "no_such"]) == 2

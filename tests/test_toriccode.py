@@ -158,7 +158,7 @@ def minor_gcd_levels(code):
 
 
 class TestWeightEngine:
-    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 27, 81])
     def test_matches_scalar_field_ops(self, rng, q):
         F = make_field(q)
         G = rng.integers(0, q, size=(3, 11)).astype(np.int64)
@@ -174,7 +174,7 @@ class TestWeightEngine:
                 count += acc == 0
             assert count == int(zeros[row])
 
-    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 27, 81])
     def test_trailing_count_matches_scalar_field_ops(self, rng, q):
         F = make_field(q)
         G = rng.integers(0, q, size=(4, 13)).astype(np.int64)
@@ -257,6 +257,19 @@ class TestBuildCode:
             code = tc.build_code(seg, q)
         assert not code.injective
         assert code.k == q - 1 < len(code.exponents)
+
+    def test_rank_deficient_generator_refused(self):
+        # the second row is twice the first in GF(5): BZ finds no
+        # information set and the exhaustive sweep finds weight 0
+        F = make_field(5)
+        G = np.array([[1, 2, 3, 4, 0, 1], [2, 4, 1, 3, 0, 2]])
+        with pytest.raises(ValueError, match="rank 1"):
+            tc.ToricCode(field=F, polytope=None, exponents=(), matrix=G,
+                         n=6, k=2, injective=True)
+        with pytest.raises(ValueError, match=r"\(1, 6\) of rank 1 is not"
+                                             r" a full-rank 1 x 5"):
+            tc.ToricCode(field=F, polytope=None, exponents=(),
+                         matrix=G[:1], n=5, k=1, injective=True)
 
     def test_rows_are_monomial_evaluations(self):
         F = make_field(5)
