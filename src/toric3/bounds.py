@@ -191,7 +191,7 @@ def alpha_holds(L, d, q):
 
 def alpha(L, d):
     """Smallest real q >= 7507 with both threshold inequalities satisfied,
-    found by bisection on sqrt(q) to 1e-9."""
+    found by bisection on sqrt(q) until the bracket is below 1e-12."""
     if L < 2 or d < 3 or L > d:
         raise ValueError("need 2 <= L <= d and d >= 3")
     lo = mpmath.sqrt(mpmath.mpf(7507))
@@ -215,9 +215,10 @@ def alpha(L, d):
 
 def simplex_bound(L, q, n=3):
     """N_P <= L (q-1)^{n-1}; sharp when P contains a lattice segment of
-    lattice length L."""
-    if L < 1 or n not in (2, 3):
-        raise ValueError("need L >= 1 and n in {2,3}")
+    lattice length L; L = 0 (one point) gives 0, as a nonzero constant has
+    no zeros."""
+    if L < 0 or n not in (2, 3):
+        raise ValueError("need L >= 0 and n in {2,3}")
     return L * (q - 1) ** (n - 1)
 
 

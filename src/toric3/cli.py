@@ -67,18 +67,27 @@ def _report_to_dict(report, holds=Ellipsis):
 def _parse_poly_file(path, q):
     """One term per line: ``c a1 a2 a3`` with c an integer or ``g^k``."""
     from .gfq import LaurentPolynomial, _check_torus, make_field
+    rows = []  # ((is a power of g, integer), exponents)
     with open(path) as fh:
-        rows = [line.split("#", 1)[0].split() for line in fh]
-    rows = [(r[0], tuple(int(v) for v in r[1:])) for r in rows if r]
+        for num, line in enumerate(fh, 1):
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            c = tokens[0]
+            try:
+                rows.append(((c.startswith("g^"), int(c.removeprefix("g^"))),
+                             tuple(int(v) for v in tokens[1:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{num}: {exc}") from None
     if rows:  # before the field tables are built
         _check_torus(q, max(len(e) for _, e in rows))
     field = make_field(q)
     terms = {}
-    for c, exps in rows:
-        if c.startswith("g^"):
-            code = int(field.exp[int(c[2:]) % (field.q - 1)])
+    for (power, c), exps in rows:
+        if power:
+            code = int(field.exp[c % (field.q - 1)])
         else:
-            code = int(c) % field.p  # prime-subfield elements: codes 0..p-1
+            code = c % field.p  # prime-subfield elements: codes 0..p-1
         if code:
             terms[exps] = field.add(terms.get(exps, 0), code)
     terms = {e: c for e, c in terms.items() if c}

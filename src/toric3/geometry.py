@@ -9,13 +9,14 @@ coordinates stay far below overflow at the scales this library targets),
 and a box of more than 2^26 columns x inequalities is refused.
 Segment sums P + [0, u] reach it with no hull, from P's facets and edges
 (``segment_sums``).
-A lower-dimensional polytope carries an integer affine frame: with U
-the unimodular transform that puts the columns A^T of its difference
-vectors into Hermite normal form U A^T = H (zero below row dim), the
-columns of U^-1 form the frame, its first dim columns are a basis of the
-lattice aff(P) & Z^n, and a lattice point p has the integer coordinates
-U (p - origin), whose last n - dim entries vanish exactly on aff(P).
-Relative normalized volumes are therefore integers.
+A lower-dimensional polytope carries one chart, the affine unimodular
+map x -> U (x - p0) for p0 its least point and U the transform that puts
+the columns A^T of its difference vectors into Hermite normal form
+U A^T = H (zero below row dim).  The chart's last n - dim coordinates
+vanish exactly on aff(P), and its first dim coordinates identify
+aff(P) & Z^n with Z^dim, so the first dim columns of U^-1 are a lattice
+basis of the plane and, for a flat P in Z^3, row 2 of U is its primitive
+normal.  Relative normalized volumes are therefore integers.
 
 Affine unimodular equivalence compares one normal form per polytope: over
 the affine bases of vertices of least |det|, the least sorted vertex
@@ -168,7 +169,7 @@ def int_rank(vectors):
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form (with transform) and integer affine frames
+# Hermite normal form (with transform)
 
 def _hnf_transform(D):
     """The unimodular U with U D in Hermite normal form, for any integer
@@ -201,17 +202,6 @@ def _hnf_transform(D):
             reduce(i, j)
         r += 1
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def _frame(diffs):
-    """Integer frame of the lattice span_Q(diffs) & Z^n.
-
-    Returns (rows of (U^-1)^T, rows of U) for U the Hermite transform of
-    the columns ``diffs``: the first rank rows of (U^-1)^T are a basis of
-    the lattice, and U d gives the coordinates of d in the frame.
-    """
-    U = _hnf_transform(mat_transpose(diffs))
-    return mat_transpose(mat_inverse_unimodular(U)), U
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +416,22 @@ class Polytope:
     Construct through :func:`convex_hull`. For full-dimensional polytopes
     ``facets`` holds the irredundant half-space system
     ``<normal, x> >= offset`` with primitive normals.  A lower-dimensional
-    polytope carries its integer affine frame (``_origin``, the rows
-    ``_frame`` of (U^-1)^T and ``_coframe`` of U; see the module docstring)
-    and ``_inner``, the full-dimensional polytope of its frame coordinates
-    over aff(P) & Z^n, whose facets it shares.
+    polytope carries its chart ``_chart``, the :class:`UnimodularMap`
+    x -> U (x - p0) of the module docstring, and ``_inner``, the
+    full-dimensional polytope in Z^dim of the first dim chart coordinates
+    of its points, whose facets it shares.
     """
 
-    __slots__ = ("ambient", "dim", "vertices", "facets", "_origin", "_frame",
-                 "_coframe", "_inner", "_points", "_nf", "__weakref__")
+    __slots__ = ("ambient", "dim", "vertices", "facets", "_chart", "_inner",
+                 "_points", "_nf", "__weakref__")
 
-    def __init__(self, ambient, dim, vertices, facets=None, origin=None,
-                 frame=None, coframe=None, inner=None):
+    def __init__(self, ambient, dim, vertices, facets=None, chart=None,
+                 inner=None):
         self.ambient = ambient
         self.dim = dim
         self.vertices = tuple(sorted(vertices))
         self.facets = facets
-        self._origin = origin
-        self._frame = frame
-        self._coframe = coframe
+        self._chart = chart
         self._inner = inner
         self._points = None
         self._nf = None
@@ -471,30 +459,19 @@ class Polytope:
         if self.dim == 0:
             return self.vertices
         if self.dim < self.ambient:
-            inner_pts = self._inner.lattice_points
-            return tuple(sorted(self._embed(c) for c in inner_pts))
+            lift, pad = self._chart.inverse(), (0,) * (self.ambient - self.dim)
+            return tuple(sorted(lift(c + pad)
+                                for c in self._inner.lattice_points))
         spans = tuple(zip(*self.vertices))
         return _column_points(self.facets, tuple(map(min, spans)),
                               tuple(map(max, spans)))
-
-    def _embed(self, c):
-        """The point origin + sum_i c_i frame_i of aff(P)."""
-        v = self._origin
-        for coef, bvec in zip(c, self._frame):
-            v = vadd(v, tuple(coef * x for x in bvec))
-        return v
-
-    def _coords(self, p):
-        """Frame coordinates U (p - origin) of p; the last n - dim of
-        them vanish exactly when p lies in aff(P)."""
-        return mat_vec(self._coframe, vsub(p, self._origin))
 
     def contains(self, p):
         if self.dim == 0:
             return tuple(p) == self.vertices[0]
         if self.dim == self.ambient:
             return all(vdot(n, p) >= b for n, b in self.facets)
-        c = self._coords(p)
+        c = self._chart(p)
         return not any(c[self.dim:]) and self._inner.contains(c[:self.dim])
 
     # -- invariants --------------------------------------------------------
@@ -535,9 +512,10 @@ def convex_hull(points):
             facets.append((nvec, vdot(nvec, a)))
         return Polytope(n, 2, hull, tuple(sorted(facets)))
 
-    # lower-dimensional: hull the frame coordinates over aff(P) & Z^n
-    frame, coframe = _frame(diffs)
-    coords = [mat_vec(coframe[:dim], d) for d in [(0,) * n] + diffs]
+    # lower-dimensional: hull the chart coordinates over aff(P) & Z^n
+    U = _hnf_transform(mat_transpose(diffs))
+    chart = UnimodularMap(U, vneg(mat_vec(U, p0)))
+    coords = [chart(p)[:dim] for p in pts]
     if dim == 1:
         lo, hi = min(coords), max(coords)
         inner = Polytope(1, 1, (lo, hi), facets=(((1,), lo[0]),
@@ -547,7 +525,7 @@ def convex_hull(points):
         inner = convex_hull(coords)
     back = dict(zip(coords, pts))
     return Polytope(n, dim, [back[c] for c in inner.vertices], inner.facets,
-                    p0, frame, coframe, inner)
+                    chart, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +559,9 @@ def segment_sums(P):
     if P.dim < 2:
         return hulled
     if P.dim < n:
-        h = primitive(cross(*P._frame[:2]))
+        h = P._chart.matrix[2]
         facets = ((h, vdot(h, verts[0])), (vneg(h), -vdot(h, verts[0])))
-        coords = [P._coords(v)[:2] for v in verts]
+        coords = [P._chart(v)[:2] for v in verts]
     # edges: vertex pairs on dim - 1 common facets (of P._inner if flat)
     tight = [{f for f in P.facets if vdot(f[0], c) == f[1]} for c in coords]
     edges = {canonical_sign(primitive(vsub(b, a))) for (a, s), (b, t)
@@ -603,6 +581,24 @@ def segment_sums(P):
         return _column_points(ineqs, tuple(map(min, lo, vadd(lo, u))),
                               tuple(map(max, hi, vadd(hi, u))))
     return points
+
+
+def good_polytope(P, bound=14):
+    """Region {u : |<u, n_F>| <= bound} over the facet normals of P.
+
+    For a 2-dimensional P in Z^3 the edge normals within the plane of P
+    together with the plane normal itself are used, so the region stays
+    bounded."""
+    if P.dim == P.ambient:
+        return RationalHalfSpaceSystem([n for n, _ in P.facets], bound)
+    if P.ambient != 3 or P.dim != 2:
+        raise ValueError("good_polytope needs a 2- or full-dimensional P")
+    h, lift = P._chart.matrix[2], P._chart.inverse().matrix
+    # an inner edge normal m lifts to the plane vector U^-1 (m^perp, 0)
+    # along its edge, and on to the normal of that edge within the plane
+    normals = [primitive(cross(mat_vec(lift, (-m[1], m[0], 0)), h))
+               for m, _ in P._inner.facets]
+    return RationalHalfSpaceSystem(normals + [h], bound)
 
 
 def _relative_vol2(points):
@@ -676,7 +672,7 @@ def mixed_area(P0, P1):
     if S.dim < 2:
         return 0
     # measure all three in the plane lattice of the sum
-    B = S._coframe[:2] if S.ambient == 3 else mat_identity(2)
+    B = S._chart.matrix[:2] if S.ambient == 3 else mat_identity(2)
 
     def area(P):
         if P.dim < 2:
@@ -788,9 +784,9 @@ def _normal_form(P):
     onto those of its image and turns each U into U A^-1: the key is an
     invariant.  Automorphisms of P permute the candidates, so ``maps`` is
     the set of all maps of P onto conv(key).  A lower-dimensional P takes
-    the key of ``_inner`` (the same code in Z^dim) and lifts its maps
-    through the frame to maps of Z^n that carry P onto conv(key) x {0}; a
-    point's key is ((),).  Computed once per polytope.
+    the key of ``_inner`` (the same code in Z^dim); its maps, extended by
+    the identity and composed with P's chart, carry P onto conv(key) x {0};
+    a point's key is ((),).  Computed once per polytope.
     """
     if P._nf is not None:
         return P._nf
@@ -802,13 +798,11 @@ def _normal_form(P):
         d = P.dim
         maps = []
         for psi in inner_maps:
-            # x -> (psi(c), 0) for c the first d frame coordinates of x
             block = tuple(tuple(psi.matrix[i][j] if i < d and j < d
                                 else int(i == j) for j in range(n))
                           for i in range(n))
-            M = mat_mul(block, P._coframe)
             t = psi.translation + (0,) * (n - d)
-            maps.append(UnimodularMap(M, vsub(t, mat_vec(M, P._origin))))
+            maps.append(UnimodularMap(block, t).compose(P._chart))
         P._nf = key, tuple(maps)
     else:
         verts = P.vertices

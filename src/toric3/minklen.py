@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from operator import lshift
 
 from .catalog import named_polytope
-from .geometry import (Polytope, RationalHalfSpaceSystem, canonical_sign,
-                       convex_hull, cross, equivalent, minkowski_sum,
-                       primitive, segment_sums, tuple_equivalent, vadd, vneg,
-                       vsub)
+from .geometry import (Polytope, canonical_sign, convex_hull, equivalent,
+                       good_polytope, minkowski_sum, segment_sums,
+                       tuple_equivalent, vadd, vneg, vsub)
 
 _BIG = 1 << 60
 _WIDTH = 21  # least bits per packed coordinate
@@ -215,33 +214,7 @@ def maximal_segment_decompositions(P, search=None):
 
 
 # ---------------------------------------------------------------------------
-# segment search (the good-polytope region)
-
-def good_polytope(P, bound=14):
-    """Region {u : |<u, n_F>| <= bound} over the facet normals of P.
-
-    For a 2-dimensional P in Z^3 the edge normals within the plane of P
-    together with the plane normal itself are used, so the region stays
-    bounded."""
-    normals = []
-    if P.dim == P.ambient:
-        normals = [n for n, _ in P.facets]
-    elif P.ambient == 3 and P.dim == 2:
-        b1, b2 = P._frame[:2]
-        plane_normal = primitive(cross(b1, b2))
-        inner = P._inner
-        for nvec2, _ in inner.facets:
-            # lift the inner edge normal: n = nvec2[0]*g1 + nvec2[1]*g2 where
-            # (g1, g2) is dual to the plane basis; equivalently cross products
-            edge_dir = (-nvec2[1], nvec2[0])
-            e3 = vadd(tuple(edge_dir[0] * x for x in b1),
-                      tuple(edge_dir[1] * x for x in b2))
-            normals.append(primitive(cross(e3, plane_normal)))
-        normals.append(plane_normal)
-    else:
-        raise ValueError("good_polytope needs a 2- or full-dimensional P")
-    return RationalHalfSpaceSystem(normals, bound)
-
+# segment directions: find_segments and the segment sweeps
 
 def find_segments(P, target_L, bound=None, search=None):
     """All canonical primitive u in the good-polytope region of P with

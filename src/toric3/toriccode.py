@@ -201,18 +201,20 @@ def build_code(P, q):
             "distinct lattice points may evaluate identically",
             stacklevel=2)
     reduced = exps % (q - 1)
-    injective = len({tuple(r) for r in reduced}) == len(pts)
     if len(pts) * (q - 1) ** m > _MAX_CELLS:
         raise ValueError(f"evaluation matrix too large: {len(pts)} points x "
                          f"{(q - 1) ** m} torus points > 2^26")
     grid = np.indices((q - 1,) * m).reshape(m, -1)  # (m, n) discrete logs
     logs = (reduced @ grid) % (q - 1)               # (|P|, n)
     evals = field.exp[logs]
-    basis = _echelon(field, evals.T)[0]
+    # monomials with distinct exponents mod q - 1 are distinct characters
+    # of the torus, hence linearly independent (Dedekind-Artin): the first
+    # lattice point of each class is a row basis
+    basis = np.sort(np.unique(reduced, axis=0, return_index=True)[1])
     gen = evals[basis]
     return ToricCode(field=field, polytope=P, exponents=tuple(pts),
                      matrix=gen, n=grid.shape[1], k=len(basis),
-                     injective=injective,
+                     injective=len(basis) == len(pts),
                      row_exponents=tuple(pts[i] for i in basis))
 
 

@@ -233,6 +233,16 @@ class TestZeros:
         rc, out = run_json(capsys, ["zeros", str(f), "--q", "5"])
         assert rc == 0 and out["n_vars"] == 0 and out["N_f"] == 0
 
+    @pytest.mark.parametrize("term", ["1 a b c", "1.5 1 2 3", "g^x 1 2 3"])
+    def test_bad_term_names_file_and_line(self, tmp_path, capsys, term):
+        f = tmp_path / "bad.txt"
+        f.write_text(term + "\n1 0 0 0\n")
+        assert cli.run(["zeros", str(f), "--q", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {f}:1:")
+
     def test_torus_above_2_32_points(self, tmp_path, capsys, monkeypatch):
         from toric3 import gfq
 
@@ -308,6 +318,19 @@ class TestCode:
         assert (out["d"], out["N_P"]) == (40, 24)
         assert "width_one_final" not in [b["name"] for b in out["bounds"]]
 
+    @pytest.mark.parametrize("cmd", ["code", "bounds"])
+    def test_one_point_polytope(self, tmp_path, capsys, cmd):
+        # a nonzero constant has no torus zeros: N_P = 0 = L (q-1)^2, L = 0
+        f = tmp_path / "pt.json"
+        f.write_text(json.dumps({"vertices": [[0, 0, 0]]}))
+        rc, out = run_json(capsys, [cmd, str(f), "--q", "5"])
+        assert rc == 0
+        if cmd == "code":
+            assert (out["n"], out["k"], out["d"], out["N_P"]) == (64, 1, 64, 0)
+        simplex = next(b for b in out["bounds"] if b["name"] == "simplex")
+        assert simplex["value"] == 0 and simplex["inputs"] == {"L": 0}
+        assert simplex["holds"] is True
+
     def test_budget_exit_code(self, tmp_path):
         f = tmp_path / "big.json"
         big = [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]]
@@ -327,6 +350,11 @@ class TestBounds:
                                     "width_one_final_bound",
                                     "--args", "L=2", "q=11"])
         assert rc == 0 and out["value"] == 250
+
+    def test_formula_simplex_of_a_point(self, capsys):
+        rc, out = run_json(capsys, ["bounds", "--formula", "simplex_bound",
+                                    "--args", "L=0", "q=5"])
+        assert rc == 0 and out["value"] == 0
 
     def test_polytope_reports(self, capsys):
         rc, out = run_json(capsys, ["bounds", "@EX72", "--q", "5"])

@@ -14,7 +14,7 @@ from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
                              equivalent, erode, int_rank, is_primitive,
                              lattice_points, lattice_width, mat_det, mat_mul,
                              mat_vec, minkowski_sum, mixed_area,
-                             normalized_volume, segment_sums,
+                             normalized_volume, primitive, segment_sums,
                              shape_predicates, tuple_equivalent, vadd, vdot,
                              vneg, vol2, vsub, width_in_direction)
 from toric3.minklen import good_polytope
@@ -582,6 +582,31 @@ class TestHalfSpaceSystem:
                     reference_points(slab(region.normals, b)), (name, b)
                 checked += 1
         assert checked >= 30
+
+    def test_flat_good_polytope_from_vertices(self, rng):
+        # normals from the vertices alone: the plane normal, and within the
+        # plane the normal of each vertex pair with all vertices on one side
+        hosts = [named_polytope("T0")]
+        while len(hosts) < 30:
+            base = random_points(rng, int(rng.integers(3, 7)), 3, ambient=2)
+            phi = UnimodularMap(random_unimodular(rng, shears=3), tuple(
+                int(x) for x in rng.integers(-3, 4, size=3)))
+            P = convex_hull([phi((x, y, 0)) for x, y in base])
+            if P.dim == 2:
+                hosts.append(P)
+        for P in hosts:
+            v0, *rest = P.vertices
+            h = next(primitive(c) for a, b in itertools.combinations(rest, 2)
+                     if any(c := cross(vsub(a, v0), vsub(b, v0))))
+            normals = [h]
+            for a, b in itertools.combinations(P.vertices, 2):
+                m = primitive(cross(vsub(b, a), h))
+                if all(vdot(m, w) >= vdot(m, a) for w in P.vertices) or \
+                        all(vdot(m, w) <= vdot(m, a) for w in P.vertices):
+                    normals.append(m)
+            for b in (2, 5):
+                assert good_polytope(P, b).integer_points() == \
+                    reference_points(slab(normals, b)), (P, b)
 
 
 class TestEquivalence:

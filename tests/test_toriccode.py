@@ -278,6 +278,27 @@ class TestBuildCode:
         assert code.exponents == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
         assert np.all(code.matrix[0] == 1)  # the constant monomial
 
+    def test_basis_matches_elimination(self, rng):
+        # the rows are the pivot rows of the full evaluation matrix
+        kinds = set()
+        for i in range(60):
+            n, q = 2 + i % 2, (2, 3, 4, 5, 7, 8, 9)[i % 7]
+            P = random_polytope(rng, count=int(rng.integers(1, 7)), box=4,
+                                ambient=n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = tc.build_code(P, q)
+            F, pts = code.field, list(code.exponents)
+            grid = np.indices((q - 1,) * n).reshape(n, -1)
+            evals = F.exp[(np.array(pts) @ grid) % (q - 1)]
+            basis = tc._echelon(F, evals.T)[0]
+            assert code.row_exponents == tuple(pts[j] for j in basis)
+            assert np.array_equal(code.matrix, evals[basis])
+            assert code.k == len(basis)
+            assert code.injective == (len(basis) == len(pts))
+            kinds.add(code.injective)
+        assert kinds == {True, False}
+
 
 class TestMinWeight:
     def test_repetition_code(self):
