@@ -77,10 +77,14 @@ def _parse_poly_file(path, q):
             try:
                 rows.append(((c.startswith("g^"), int(c.removeprefix("g^"))),
                              tuple(int(v) for v in tokens[1:])))
+                lengths = sorted({len(rows[0][1]), len(rows[-1][1])})
+                if len(lengths) > 1:
+                    raise ValueError(
+                        f"exponent vectors of mixed lengths {lengths}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{num}: {exc}") from None
     if rows:  # before the field tables are built
-        _check_torus(q, max(len(e) for _, e in rows))
+        _check_torus(q, len(rows[0][1]))
     field = make_field(q)
     terms = {}
     for (power, c), exps in rows:

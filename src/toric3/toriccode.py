@@ -13,7 +13,9 @@ m_a -> lambda t^a m_a, (lambda, t) in (F_q^*)^(m+1), of the messages
 The multi-information-set engine (Brouwer-Zimmermann) enumerates
 codewords by information weight over greedily chosen disjoint
 information sets and terminates once the accumulated lower bound meets
-the best weight found.
+the best weight found.  A torus translation x -> t x permutes the
+coordinates and maps the code onto itself, so each set also counts its
+disjoint translates in the bound without enumerating them.
 
 Both engines enumerate messages whose last coordinate c runs fastest.
 The codeword of each prefix (c set to 0) is computed once, exactly, by
@@ -305,16 +307,20 @@ def min_weight_exhaustive(code):
     return best
 
 
-def _information_sets(field, gen):
-    """Greedy disjoint information sets with deficiencies.
+def _information_sets(field, gen, m=0):
+    """Greedy disjoint information sets with deficiencies and translates.
 
-    Returns a list of (columns, deficiency, systematic): each set has k
-    columns I whose submatrix is invertible, and ``systematic`` is
-    inv(G_I) G; ``deficiency`` counts columns borrowed from earlier sets
-    once fresh columns run out of rank.  A set is the pivot columns of
-    one elimination on the unused columns followed by the used ones.
+    Returns a list of (columns, deficiency, translates, systematic): each
+    set has k columns I whose submatrix is invertible, and ``systematic``
+    is inv(G_I) G; ``deficiency`` counts columns borrowed from earlier
+    sets once fresh columns run out of rank.  A set is the pivot columns
+    of one elimination on the unused columns followed by the used ones.
+    If the columns are the torus (F_q^*)^m in log order, m > 0, the rows
+    of ``translates`` are the sets t I, t in log order, that share no
+    column with I, an earlier translate or an earlier set.
     """
     k, n = gen.shape
+    shape, step = (field.q - 1,) * m, max(1, _CHUNK_COORDS // k)
     used = np.zeros(n, dtype=bool)
     sets = []
     while True:
@@ -326,9 +332,18 @@ def _information_sets(field, gen):
             break
         systematic = np.empty_like(R)
         systematic[:, order] = R
+        used[cols], moved = True, []
+        for lo in range(1, n if m else 1, step):  # translates, in chunks
+            t = np.unravel_index(np.arange(lo, min(lo + step, n)), shape)
+            block = np.ravel_multi_index(
+                [(g + s[:, None]) % (field.q - 1)
+                 for g, s in zip(np.unravel_index(cols, shape), t)], shape)
+            for row in block[~used[block].any(axis=1)]:
+                if not used[row].any():
+                    used[row] = True
+                    moved.extend(row.tolist())
         sets.append((tuple(int(c) for c in cols), k - fresh.size,
-                     systematic))
-        used[fresh] = True
+                     np.array(moved, np.int64).reshape(-1, k), systematic))
     return sets
 
 
@@ -357,28 +372,34 @@ def min_weight_bz(code):
 
     For each disjoint information set, codewords are generated from
     weight-w information vectors (first nonzero entry 1, ``_bz_batches``)
-    against the systematized generator.  After finishing weight w on all
-    sets, every unseen codeword has weight at least sum_i max(0, w+1 -
-    deficiency_i), which stops the sweep once it reaches the best weight.
+    against the systematized generator.  A codeword c of weight <= w on
+    a torus translate t I of a set I gives c o t, of the same weight and
+    of weight <= w on I, so enumerating I covers its copies: itself and
+    its translates.  After weight w on all sets, every unseen codeword has
+    weight at least sum_i max(0, w+1 - deficiency_i) + (copies_i - 1)(w+1),
+    which stops the sweep once it reaches the best weight.
     """
     field, gen = code.field, code.matrix
     q, k, n = field.q, code.k, code.n
     if k > 24:
         raise ValueError("BZ engine is configured for k <= 24")
-    systems = [(_WeightEngine(field, systematic), delta)
-               for _, delta, systematic in _information_sets(field, gen)]
+    m = len((code.row_exponents or [()])[0])  # 0: no torus, no translates
+    systems = [(_WeightEngine(field, systematic), d, 1 + len(moved))
+               for _, d, moved, systematic in _information_sets(field, gen, m)]
     best = n
     for w in range(1, k + 1):
         values = range(1, q if w > 1 else 2)
         rows = max(1, _CHUNK_COORDS // (len(values) * n))
-        for done, (engine, _) in enumerate(systems):
+        for done, (engine, _, _) in enumerate(systems):
             for prefixes, cuts in _bz_batches(q, k, w, rows):
                 codes = engine.codes(prefixes)
                 for c, end in cuts:
                     zeros = engine.count(codes[:end], c, values).max()
                     best = min(best, n - int(zeros))
-            lower = sum(max(0, w + 1 - d) for _, d in systems[:done + 1])
-            lower += sum(max(0, w - d) for _, d in systems[done + 1:])
+            lower = sum(max(0, w + 1 - d) + (c - 1) * (w + 1)
+                        for _, d, c in systems[:done + 1])
+            lower += sum(max(0, w - d) + (c - 1) * w
+                         for _, d, c in systems[done + 1:])
             if lower >= best:
                 return best
     return best

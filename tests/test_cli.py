@@ -227,6 +227,15 @@ class TestZeros:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "mixed lengths [2, 3]" in err[0]
 
+    def test_mixed_exponent_lengths_name_file_and_line(self, tmp_path,
+                                                       capsys):
+        f = tmp_path / "m.txt"
+        f.write_text("1 0 0 0\n1 1 0\n")
+        assert cli.run(["zeros", str(f), "--q", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {f}:2:")
+        assert "mixed lengths [2, 3]" in err[0]
+
     def test_constant_polynomial(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text("3  # a nonzero constant: the 0-torus is one point\n")

@@ -355,6 +355,18 @@ class TestMinWeight:
             reduced += len(tc._sweep_plan(code)[0]) < code.k
         assert reduced >= 20
 
+    def test_translates_match_multi_set_bz(self, rng):
+        # row exponents stripped: no translates, the plain greedy sets
+        for q, kind, code, plain in orbit_oracle_codes(rng):
+            assert tc.min_weight_bz(code) == tc.min_weight_bz(plain) == \
+                tc.min_weight_exhaustive(code), (q, kind, code.exponents)
+        # tiny tori: one point (q = 2), and T0 at q = 3
+        for name, q, d in (("P8", 2, 1), ("T0", 3, 2)):
+            code = build_quietly(named_polytope(name), q)
+            plain = dataclasses.replace(code, row_exponents=())
+            assert tc.min_weight_bz(code) == tc.min_weight_bz(plain) == \
+                tc.min_weight_exhaustive(code) == d, (name, q)
+
     def test_sweep_frames_match_minor_gcd(self, rng):
         for q, kind, code, plain in orbit_oracle_codes(rng):
             for c in (code, plain):
@@ -454,7 +466,7 @@ class TestInformationSets:
         code = random_code(rng, F, k=4, n=18)
         sets = tc._information_sets(F, code.matrix)
         fresh_cols = []
-        for cols, delta, systematic in sets:
+        for cols, delta, _, systematic in sets:
             assert len(cols) == 4
             assert len(tc._echelon(F, code.matrix[:, cols])[0]) == 4
             # inv(G_I) G: the identity on I, in the row space of G
@@ -464,10 +476,86 @@ class TestInformationSets:
             fresh_cols.append(set(cols))
         # first set has no deficiency; all-fresh sets are pairwise disjoint
         assert sets[0][1] == 0
-        full = [s for (s, (_, d, _)) in zip(fresh_cols, sets) if d == 0]
+        full = [s for (s, (_, d, _, _)) in zip(fresh_cols, sets) if d == 0]
         for i in range(len(full)):
             for j in range(i + 1, len(full)):
                 assert not (full[i] & full[j])
+
+
+def is_translate(q, m, cols, row):
+    """Whether the columns ``row`` are t ``cols`` for some t on the
+    torus (F_q^*)^m, column j at the log vector of index j in C order."""
+    shape = (q - 1,) * m
+    g = np.array(np.unravel_index(list(cols), shape))
+    h = np.array(np.unravel_index(list(row), shape))
+    return np.array_equal((g - g[:, :1] + h[:, :1]) % (q - 1), h)
+
+
+class TestTranslates:
+    def packed_codes(self, rng):
+        yield from (build_quietly(named_polytope(name), q)
+                    for name, q in (("T1", 8), ("P8", 7)))
+        for i, (_, _, code, _) in enumerate(orbit_oracle_codes(rng)):
+            if i % 3 == 0:
+                yield code
+
+    def test_packed_translates(self, rng):
+        counted = 0
+        for code in self.packed_codes(rng):
+            F, k, n = code.field, code.k, code.n
+            m = len(code.row_exponents[0])
+            sets = tc._information_sets(F, code.matrix, m)
+            earlier = set()  # columns of the earlier sets and translates
+            for cols, _, moved, _ in sets:
+                assert moved.shape == (len(moved), k)
+                taken = set(cols)
+                for row in moved.tolist():
+                    assert is_translate(F.q, m, cols, row), (cols, row)
+                    # an information set, disjoint from I, from the
+                    # translates before it and from the earlier sets
+                    assert len(tc._echelon(F, code.matrix[:, row])[0]) == k
+                    assert not set(row) & (taken | earlier), (cols, row)
+                    taken |= set(row)
+                earlier |= taken
+                counted += len(moved)
+            # copies times k, less the borrowed columns, fit in n (the
+            # copies alone may exceed n / k: T1 at q = 8 counts 70 > 68)
+            assert sum((1 + len(moved)) * k - d
+                       for _, d, moved, _ in sets) <= n
+        assert counted >= 100
+
+    def test_translates_of_t1_and_p8(self):
+        # the first set's copies: 48 of T1 at q = 8, 24 of P8 at q = 7
+        for name, q, copies, count in (("T1", 8, 48, 20), ("P8", 7, 24, 2)):
+            code = build_quietly(named_polytope(name), q)
+            sets = tc._information_sets(code.field, code.matrix, 3)
+            assert (1 + len(sets[0][2]), len(sets)) == (copies, count)
+
+    def test_scan_memory_bounded_by_the_chunk(self, monkeypatch):
+        # conv{0, 3 e_1} at q = 257: n = 256^2 and k = 4 divides 256, so
+        # the translates of the first set tile the torus.  Outside the
+        # eliminations the sets' k x n arrays (2 MB each) and chunks of
+        # 2^10 translates peak at 12 MB; one block of all n translates
+        # reads 17 MB, and one list of them 25 MB
+        code = tc.build_code(convex_hull([(0, 0), (3, 0)]), 257)
+        monkeypatch.setattr(tc, "_CHUNK_COORDS", 1 << 12)
+        echelon, peaks = tc._echelon, []
+
+        def echelon_between_scans(*args):  # peaks outside the eliminations
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            out = echelon(*args)
+            tracemalloc.reset_peak()
+            return out
+        monkeypatch.setattr(tc, "_echelon", echelon_between_scans)
+        tracemalloc.start()
+        try:
+            sets = tc._information_sets(code.field, code.matrix, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [(d, 1 + len(moved)) for _, d, moved, _ in sets] == \
+            [(0, code.n // 4)]
+        assert max(peaks) < 14 * 2 ** 20, peaks
 
 
 def old_bz_messages(q, k, w, chunk):
