@@ -2,8 +2,9 @@
 
 Integer-valued bounds use exact integer arithmetic throughout; the
 floor(2 sqrt(q)) term is isqrt(4q).  Real-valued thresholds (alpha, beta,
-the Cor 6.2 q_min) are evaluated with mpmath at 50 digits and reported
-both as reals and as the smallest prime power at or above them.
+the Cor 6.2 q_min) are evaluated at 50 digits in a private mpmath
+context, which leaves the caller's mpmath.mp alone, and reported both as
+reals and as the smallest prime power at or above them.
 
 Every report carries explicit hypothesis flags (e.g. characteristic
 bounds) instead of refusing to compute when a hypothesis is unmet.
@@ -17,7 +18,10 @@ from math import comb, isqrt
 
 import mpmath
 
-mpmath.mp.dps = 50
+from .gfq import factor_prime_power
+
+_mp = mpmath.MPContext()
+_mp.dps = 50
 
 
 @dataclass(frozen=True)
@@ -34,26 +38,19 @@ def floor_2sqrt(q):
 
 
 def is_prime_power(n):
-    if n < 2:
+    try:
+        return bool(factor_prime_power(n))
+    except ValueError:
         return False
-    for p in range(2, isqrt(n) + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return True
 
 
 def char_of(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("q < 2")
+    return factor_prime_power(q)[0]
 
 
 def next_prime_power(x):
     """Smallest prime power >= x (x may be real)."""
-    n = int(mpmath.ceil(x)) if not isinstance(x, int) else x
+    n = int(_mp.ceil(x)) if not isinstance(x, int) else x
     n = max(n, 2)
     while not is_prime_power(n):
         n += 1
@@ -139,8 +136,8 @@ def cmax_threshold(L, vol3):
     if L < 1 or vol3 < 1:
         raise ValueError("need L, Vol3 >= 1")
     c = Fraction(vol3 - 3 * L + 3, 8)
-    cm = mpmath.mpf(c.numerator) / c.denominator
-    q_min = (cm + mpmath.sqrt(cm * cm + 1)) ** 2
+    cm = _mp.mpf(c.numerator) / c.denominator
+    q_min = (cm + _mp.sqrt(cm * cm + 1)) ** 2
     return c, q_min
 
 
@@ -155,30 +152,30 @@ def cmax_bound(L, q):
 def gl_bound(d, q):
     """q^2 + (d-1)(d-2) q^{3/2} + 12 (d+3)^4 q: zeros of an absolutely
     irreducible degree-d surface, affine form."""
-    qm = mpmath.mpf(q)
-    return qm ** 2 + (d - 1) * (d - 2) * qm ** mpmath.mpf("1.5") \
+    qm = _mp.mpf(q)
+    return qm ** 2 + (d - 1) * (d - 2) * qm ** _mp.mpf("1.5") \
         + 12 * (d + 3) ** 4 * qm
 
 
 def psi(k, m, d, q):
     """(m-k)(q-1)^2 + k q^2 + (d-m-k+1)(d-m-k) q^{3/2}
     + 12 ((d-m-k+5)^4 + 5^4 (k-1)) q."""
-    qm = mpmath.mpf(q)
+    qm = _mp.mpf(q)
     t = d - m - k
     return (m - k) * (qm - 1) ** 2 + k * qm ** 2 \
-        + (t + 1) * t * qm ** mpmath.mpf("1.5") \
+        + (t + 1) * t * qm ** _mp.mpf("1.5") \
         + 12 * ((t + 5) ** 4 + 5 ** 4 * (k - 1)) * qm
 
 
 def _alpha_lhs(L, d, q):
     """Left-hand sides of the two threshold inequalities, with
     d_1 = d - L + 2."""
-    qm = mpmath.mpf(q)
-    s = mpmath.sqrt(qm)
+    qm = _mp.mpf(q)
+    s = _mp.sqrt(qm)
     d1 = d - L + 2
-    first = (L - 1) * qm ** 2 - (d * d - 3 * d - 2) * qm ** mpmath.mpf("1.5") \
+    first = (L - 1) * qm ** 2 - (d * d - 3 * d - 2) * qm ** _mp.mpf("1.5") \
         - (12 * (d + 3) ** 4 + 2 * (L + 1)) * qm - 4 * s + L + 2
-    second = qm ** 2 - (d1 * d1 - 3 * d1 - 2) * qm ** mpmath.mpf("1.5") \
+    second = qm ** 2 - (d1 * d1 - 3 * d1 - 2) * qm ** _mp.mpf("1.5") \
         - (12 * (d1 + 3) ** 4 + 6) * qm - 4 * s + 4
     return first, second
 
@@ -194,7 +191,7 @@ def alpha(L, d):
     found by bisection on sqrt(q) until the bracket is below 1e-12."""
     if L < 2 or d < 3 or L > d:
         raise ValueError("need 2 <= L <= d and d >= 3")
-    lo = mpmath.sqrt(mpmath.mpf(7507))
+    lo = _mp.sqrt(_mp.mpf(7507))
     if alpha_holds(L, d, lo ** 2):
         return lo ** 2
     hi = lo
@@ -208,7 +205,7 @@ def alpha(L, d):
             hi = mid
         else:
             lo = mid
-        if hi - lo < mpmath.mpf("1e-12"):
+        if hi - lo < _mp.mpf("1e-12"):
             break
     return hi ** 2
 
@@ -244,13 +241,13 @@ def beta(vol2_0, vol2_1, L0, L1, L, mixed, mode="per_summand"):
                 Fraction(vol2_1, 2) - 2 * L + Fraction(11, 2))
 
     def expand(x, shift):
-        xm = mpmath.mpf(x.numerator) / x.denominator
-        return (xm + mpmath.sqrt(xm * xm + shift)) ** 2
+        xm = _mp.mpf(x.numerator) / x.denominator
+        return (xm + _mp.sqrt(xm * xm + shift)) ** 2
 
-    vals = (mpmath.mpf(37),
-            expand(C, mpmath.mpf("2.5")),
+    vals = (_mp.mpf(37),
+            expand(C, _mp.mpf("2.5")),
             expand(c, 3),
-            mpmath.mpf((mixed + 1) ** 2) / 4)
+            _mp.mpf((mixed + 1) ** 2) / 4)
     return max(vals)
 
 
@@ -293,7 +290,7 @@ def mindist_lower_bound(L, q, width_one=False):
     """(q-1)^3 - L(q-1)^2 - t (q-1)(2 sqrt q - 1) with t = 1 (width one,
     q >= beta(P)) or 2 (general, q >= alpha(P)); floored at the end."""
     t = 1 if width_one else 2
-    qm = mpmath.mpf(q)
+    qm = _mp.mpf(q)
     val = (qm - 1) ** 3 - L * (qm - 1) ** 2 \
-        - t * (qm - 1) * (2 * mpmath.sqrt(qm) - 1)
-    return int(mpmath.floor(val))
+        - t * (qm - 1) * (2 * _mp.sqrt(qm) - 1)
+    return int(_mp.floor(val))

@@ -211,23 +211,28 @@ def _cmd_code(args):
 
 
 def _cmd_bounds(args):
+    import inspect
     from . import bounds as B
     if args.formula:
-        kw = {}
+        fn = getattr(B, args.formula, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == B.__name__
+                and not args.formula.startswith("_")):
+            raise ValueError(f"unknown formula {args.formula!r}")
+        params, kw = inspect.signature(fn).parameters, {}
         for item in args.args or []:
             k, _, v = item.partition("=")
             if not _:
                 raise ValueError(f"--args items must be key=value, got {item!r}")
-            if v.lower() in ("true", "false"):
+            if isinstance(getattr(params.get(k), "default", None), bool):
+                if v.lower() not in ("true", "false"):
+                    raise ValueError(f"--formula {args.formula}: {k} must be "
+                                     f"true or false, got {v!r}")
                 kw[k] = v.lower() == "true"
             else:
                 try:
                     kw[k] = int(v)
                 except ValueError:
                     kw[k] = v
-        fn = getattr(B, args.formula, None)
-        if fn is None or args.formula.startswith("_"):
-            raise ValueError(f"unknown formula {args.formula!r}")
         if "q" in kw and not (type(kw["q"]) is int
                               and B.is_prime_power(kw["q"])):
             raise ValueError(f"--formula {args.formula}: q={kw['q']} is "
@@ -237,7 +242,8 @@ def _cmd_bounds(args):
         except TypeError as exc:
             raise ValueError(f"--formula {args.formula}: {exc}") from None
         _emit({"formula": args.formula, "args": kw,
-               "value": _jsonable(value)})
+               "value": _report_to_dict(value)
+               if isinstance(value, B.BoundReport) else value})
         return 0
     if not args.polytope or args.q is None:
         raise ValueError("bounds needs <polytope> --q Q, or --formula")

@@ -2,12 +2,15 @@
 
 Field elements are encoded as integers 0..q-1 whose base-p digits are the
 coefficients of the residue polynomial (for prime fields this is the
-usual residue encoding).  Multiplication runs through log/exp tables of a
-fixed smallest generator; addition is digitwise mod p.  The construction
-is deterministic: the modulus is the first irreducible monic polynomial
-of degree e in the base-p integer encoding of its non-leading
-coefficients, and the generator is the smallest element (in the integer
-encoding) of multiplicative order q - 1.
+usual residue encoding).  ``FiniteField``'s add, sub, neg, mul and inv
+take element codes or integer arrays of codes and broadcast like numpy
+(a scalar call gives an int).  Addition is digitwise mod p; a product is
+one lookup exp0[log a + log b] in tables of a fixed smallest generator,
+where log 0 = 2q - 2 points past two copies of exp into a zero tail.
+The construction is deterministic: the modulus is the first irreducible
+monic polynomial of degree e in the base-p integer encoding of its
+non-leading coefficients, and the generator is the smallest element (in
+the integer encoding) of multiplicative order q - 1.
 
 Torus scans run on the discrete logs l of a point of (F_q^*)^n: a term
 c x^a has log log(c) + sum_i (a_i mod q-1) l_i, read from an exp table
@@ -23,14 +26,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
 
-def _factor_prime_power(q):
+def factor_prime_power(q):
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next((c for c in range(2, int(q ** 0.5) + 1) if q % c == 0), q)
+    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)
     e = 1
     while p ** e < q:
         e += 1
@@ -97,13 +101,17 @@ def _digits_int(digits, p):
     return v
 
 
+def _int_if_scalar(x):
+    return int(x) if np.ndim(x) == 0 else x
+
+
 class FiniteField:
     """GF(q) with log/exp tables over a deterministic modulus/generator."""
 
     def __init__(self, q):
         if q > 1 << 20:
             raise ValueError("q must be at most 2^20")
-        p, e = _factor_prime_power(q)
+        p, e = factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e
@@ -124,37 +132,32 @@ class FiniteField:
                 return tuple(poly)
         raise RuntimeError("no irreducible polynomial found")
 
-    # -- scalar arithmetic on integer-encoded elements ---------------------
+    # -- arithmetic on codes or integer arrays of codes, broadcast ------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        da = _int_digits(a, self.p, self.e)
-        db = _int_digits(b, self.p, self.e)
-        return _digits_int([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return self.digits_to_codes(self._digit_table[a]
+                                    + self._digit_table[b])
+
+    def sub(self, a, b):
+        return self.digits_to_codes(self._digit_table[a]
+                                    - self._digit_table[b])
 
     def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        da = _int_digits(a, self.p, self.e)
-        return _digits_int([(-x) % self.p for x in da], self.p)
+        return self.digits_to_codes(-self._digit_table[a])
+
+    def mul(self, a, b):
+        return _int_if_scalar(self._exp0[self.log[a] + self.log[b]])
+
+    def inv(self, a):
+        if not np.all(a):
+            raise ZeroDivisionError("inverse of zero")
+        return _int_if_scalar(self._exp0[self.q - 1 - self.log[a]])
 
     def _mul_raw(self, a, b):
         da = _int_digits(a, self.p, self.e)
         db = _int_digits(b, self.p, self.e)
         return _digits_int(
             _poly_mulmod(da, db, list(self.modulus), self.p), self.p)
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b]))
-                            % (self.q - 1)])
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
 
     def power(self, a, n):
         if a == 0:
@@ -197,8 +200,10 @@ class FiniteField:
             digits[size:size + take] = digits[:take] @ mat % p
             mat, size = mat @ mat % p, size + take
         self.exp = digits @ self._pow_p
-        self.log = np.zeros(q, dtype=np.int64)
+        self.log = np.full(q, 2 * q - 2, dtype=np.int64)
         self.log[self.exp] = np.arange(q - 1)
+        self._exp0 = np.pad(np.tile(self.exp, 2), (0, 2 * q - 1)).astype(
+            np.min_scalar_type(q - 1))
         if not np.array_equal(np.sort(self.exp), np.arange(1, q)):
             raise RuntimeError("generator tables inconsistent")
 
@@ -209,7 +214,7 @@ class FiniteField:
         return self._digit_table[codes]
 
     def digits_to_codes(self, digits):
-        return (digits % self.p) @ self._pow_p
+        return _int_if_scalar((digits % self.p) @ self._pow_p)
 
     def packed(self, bits):
         """Code -> its base-p digits in ``bits``-bit fields of one int64

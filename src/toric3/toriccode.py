@@ -51,22 +51,6 @@ class BudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # small dense linear algebra over GF(q) (element codes, 0..q-1)
 
-def _vec_sub(field, a, b):
-    """Elementwise a - b on arrays of element codes."""
-    d = field.codes_to_digits(a) + (field.p - 1) * field.codes_to_digits(b)
-    return field.digits_to_codes(d)
-
-
-def _vec_scale(field, s, a):
-    """Elementwise s * a on element codes; ``s`` broadcasts against ``a``."""
-    s, a = np.broadcast_arrays(np.asarray(s, dtype=np.int64), a)
-    out = np.zeros(a.shape, dtype=np.int64)
-    nz = (a != 0) & (s != 0)
-    out[nz] = field.exp[(field.log[a[nz]] + field.log[s[nz]])
-                        % (field.q - 1)]
-    return out
-
-
 def _echelon(field, mat):
     """Reduced row-echelon form of a matrix of element codes: (pivot
     columns, R) with R = E mat for an invertible E, restricted to its
@@ -80,10 +64,9 @@ def _echelon(field, mat):
         c = int(live[0])
         i = r + int(np.flatnonzero(R[r:, c])[0])
         R[[r, i]] = R[[i, r]]
-        R[r] = _vec_scale(field, field.inv(int(R[r, c])), R[r])
-        factors = R[:, c:c + 1].copy()
-        factors[r] = 0
-        R = _vec_sub(field, R, _vec_scale(field, factors, R[r]))
+        row = field.mul(field.inv(R[r, c]), R[r])
+        R = field.sub(R, field.mul(R[:, c:c + 1], row))
+        R[r] = row
         pivots.append(c)
     return pivots, R[:len(pivots)]
 
@@ -114,18 +97,10 @@ class _WeightEngine:
         self._dtype = np.float32 if top < 2 ** 24 else np.float64
         self._int = np.int32 if top < 2 ** 31 else np.int64  # for the mod
         self._code = np.min_scalar_type(field.q - 1)
-        rows = [field.codes_to_digits(_vec_scale(field, field.p ** i, gen))
-                for i in range(field.e)]  # x^i G: (k, n, e) each
-        self._gen = np.stack(rows, axis=1).transpose(0, 1, 3, 2).reshape(
-            self.k * field.e, field.e * self.n).astype(self._dtype)
-        # -a g = exp[log a + log(-g)]; log 0 = 2q - 2 points past both
-        # copies of exp into zeros
-        q = field.q
-        self._log = np.where(np.arange(q) > 0, field.log, 2 * q - 2)
-        self._exp = np.pad(np.tile(field.exp, 2), (0, 2 * q - 1)).astype(
-            self._code)
-        self._minus_g = self._log[_vec_sub(field, 0, gen)].astype(
-            np.min_scalar_type(2 * q - 2))
+        xg = field.mul(field.p ** np.arange(field.e)[:, None, None], gen)
+        self._gen = field.codes_to_digits(xg).transpose(1, 0, 3, 2).reshape(
+            self.k * field.e, field.e * self.n).astype(self._dtype)  # x^i G
+        self._minus_g = field.neg(gen)
 
     def zeros(self, msgs):
         """Zero-coordinate count per row for a (b, k) batch of codes."""
@@ -150,7 +125,7 @@ class _WeightEngine:
         step = max(1, _CHUNK_COORDS // self.n)
         for lo in range(0, len(values), step):
             a = np.array(values[lo:lo + step])
-            table = self._exp[self._log[a][:, None] + self._minus_g[c]]
+            table = self.field.mul(a[:, None], self._minus_g[c])
             hits = (codes[:, None, :] == table).view(np.uint8)
             hits.sum(axis=2, dtype=out.dtype, out=out[:, lo:lo + step])
         return out

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,6 +28,20 @@ class TestHelpers:
         assert B.next_prime_power(105.914) == 107
         assert B.next_prime_power(8) == 8
         assert B.next_prime_power(10) == 11
+
+    def test_import_keeps_the_callers_precision(self):
+        # the bounds run in a private 50-digit context: importing toric3
+        # leaves mpmath.mp at its default 15 digits
+        src = str(Path(B.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                                 else ""))
+        code = ("import mpmath, toric3.toriccode, toric3.bounds as B; "
+                "B.alpha(2, 4); print(mpmath.mp.dps)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "15\n"
 
     def test_char_of(self):
         assert B.char_of(8) == 2

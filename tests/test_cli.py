@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -388,6 +389,45 @@ class TestBounds:
     def test_missing_arguments(self):
         assert cli.run(["bounds"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["Fraction", "--args", "numerator=3"], ["dataclass"], ["field"],
+        ["BoundReport", "--args", "name=x", "value=1"], ["comb"], ["isqrt"],
+        ["mpmath"], ["annotations"], ["factor_prime_power", "--args", "q=8"],
+        ["_alpha_lhs", "--args", "L=2", "d=4", "q=7"]])
+    def test_formula_names_a_bounds_function(self, capsys, argv):
+        assert cli.run(["bounds", "--formula"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown formula {argv[0]!r}\n"
+
+    def test_formula_report_object(self, capsys):
+        rc, out = run_json(capsys, ["bounds", "--formula", "special_bound",
+                                    "--args", "cls=T0", "q=7", "report=true"])
+        assert rc == 0 and out["value"] == {
+            "name": "special[T0]", "value": 60,
+            "hypotheses": [{"flag": "char not in {2,3}", "met": True}],
+            "inputs": {"q": 7}}
+
+    @pytest.mark.parametrize("formula,args,flag,values", [
+        ("maxa_bound", ["L=2", "k=1", "q=7", "vol3=8"], "has_T0_factor",
+         {"false": 95, "true": 96}),
+        ("mindist_lower_bound", ["L=2", "q=11"], "width_one",
+         {"false": 687, "True": 743}),
+        ("special_bound", ["cls=T0", "q=7"], "report", {"false": 60})])
+    def test_boolean_args_take_true_or_false(self, capsys, formula, args,
+                                             flag, values):
+        for v, expected in values.items():
+            rc, out = run_json(capsys, ["bounds", "--formula", formula,
+                                        "--args", *args, f"{flag}={v}"])
+            assert rc == 0 and out["value"] == expected
+        for v in ("no", "1", "0", ""):
+            assert cli.run(["bounds", "--formula", formula,
+                            "--args", *args, f"{flag}={v}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: --formula {formula}: {flag} must"
+                                    f" be true or false, got {v!r}\n")
+
     @pytest.mark.parametrize("q", ["1", "6", "x"])
     def test_formula_q_not_a_prime_power(self, capsys, q):
         rc = cli.run(["bounds", "--formula", "special_bound",
@@ -397,6 +437,24 @@ class TestBounds:
         assert captured.out == ""
         err = captured.err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestReadme:
+    def test_command_line_block_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        named, suites = set(), None
+        for line in block.splitlines():
+            words = line.split("#", 1)[0].split()
+            named |= {words[i + 1] for i, w in enumerate(words[:-1])
+                      if w == "toric3"}
+            if words[:2] == ["toric3", "verify"]:
+                suites = set(words[2].split("|"))
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert named == set(sub.choices)
+        assert suites == set(cli._SUITES)
 
 
 class TestVerify:

@@ -37,6 +37,53 @@ class TestFieldArithmetic:
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
             assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27])
+    def test_array_api_matches_table_free_oracle(self, q):
+        # every pair of codes, zeros included, against digit lists and
+        # _mul_raw: as scalars (ints), and broadcast (k, n) with (k, 1)
+        # and (n,), (k, 1) with (n,), either way round
+        F = make_field(q)
+
+        def digitwise(op, *codes):
+            digits = [gfq._int_digits(c, F.p, F.e) for c in codes]
+            return gfq._digits_int([op(*d) % F.p for d in zip(*digits)], F.p)
+        els = range(q)
+        want = {
+            "add": [[digitwise(lambda x, y: x + y, a, b) for b in els]
+                    for a in els],
+            "sub": [[digitwise(lambda x, y: x - y, a, b) for b in els]
+                    for a in els],
+            "mul": [[F._mul_raw(a, b) for b in els] for a in els]}
+        neg = np.array([digitwise(lambda x: -x, a) for a in els])
+        inv = np.array([0] + [next(b for b in els if F._mul_raw(a, b) == 1)
+                              for a in range(1, q)])
+        for name, table in want.items():
+            op, table = getattr(F, name), np.array(table)
+            for a, b in itertools.product(els, repeat=2):
+                got = op(a, b)
+                assert type(got) is int and got == table[a, b], (name, a, b)
+            k, n = q, q + 1
+            col = np.arange(k)[:, None]
+            mat = (col + np.arange(n)) % q  # every code in every row
+            row = np.arange(n) % q
+            for x, y in ((mat, col), (col, mat), (mat, row), (row, mat),
+                         (col, row), (row, col), (mat.astype(np.uint8), col)):
+                got = op(x, y)
+                assert got.shape == (k, n), (name, x.shape, y.shape)
+                assert np.array_equal(got, table[x, y]), (name, x, y)
+        for a in els:
+            assert type(F.neg(a)) is int and F.neg(a) == neg[a]
+            if a:
+                assert type(F.inv(a)) is int and F.inv(a) == inv[a]
+        mat = (np.arange(q)[:, None] + np.arange(q + 1)) % q
+        assert np.array_equal(F.neg(mat), neg[mat])
+        nonzero = mat % (q - 1) + 1
+        assert np.array_equal(F.inv(nonzero), inv[nonzero])
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(mat)
+
     def test_known_moduli(self):
         # coefficient tuples (c0, c1, ..., 1) of the chosen monic modulus
         assert make_field(8).modulus == (1, 1, 0, 1)    # x^3 + x + 1
@@ -53,7 +100,7 @@ class TestFieldArithmetic:
         # product at a time
         for q in range(2, 1025):
             try:
-                p, e = gfq._factor_prime_power(q)
+                p, e = gfq.factor_prime_power(q)
             except ValueError:
                 continue
             F = gfq.FiniteField(q)

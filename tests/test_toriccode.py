@@ -403,11 +403,11 @@ def greedy_rows(F, rows):
         r = np.array(r, dtype=np.int64)
         for col, pr in pivots:
             if r[col] != 0:
-                r = tc._vec_sub(F, r, tc._vec_scale(F, int(r[col]), pr))
+                r = F.sub(r, F.mul(int(r[col]), pr))
         nz = np.flatnonzero(r)
         if nz.size:
             col = int(nz[0])
-            pivots.append((col, tc._vec_scale(F, F.inv(int(r[col])), r)))
+            pivots.append((col, F.mul(F.inv(int(r[col])), r)))
             basis.append(idx)
     return basis
 
