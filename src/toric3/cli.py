@@ -461,7 +461,8 @@ def _build_parser():
                  "segment directions I with L(P + I) = target")
     p.add_argument("--target-L", type=int, required=True)
     p.add_argument("--bound", type=int, default=None,
-                   help="coordinate box for the direction search")
+                   help="search u with |<u, n_F>| <= bound over P's facet "
+                        "normals (default 14, 2 for T0)")
     poly_cmd("triangles", _cmd_triangles,
              "triangles T with L(T) = 1 and L(P + T) = 2")
     poly_cmd("tetra", _cmd_tetra, "tetrahedra within P's difference set")

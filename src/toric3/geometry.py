@@ -2,13 +2,14 @@
 
 Hulls and coordinates use Python ints only.  A full-dimensional hull in
 Z^3 comes from one exact incremental hull.  One numpy kernel enumerates
-the lattice points of full-dimensional polytopes and of symmetric slab
-regions {x : |<n, x>| <= b}: each column of the box of the first n - 1
-coordinates is cut to an exact integer interval of the last (int64;
-coordinates stay far below overflow at the scales this library targets),
-and a box of more than 2^26 columns x inequalities is refused.
-Segment sums P + [0, u] reach it with no hull, from P's facets and edges
-(``segment_sums``).
+the lattice points of a batch of full-dimensional polytopes or symmetric
+slab regions {x : |<n, x>| <= b}: their boxes of the first n - 1
+coordinates are padded to one shape, and each column is cut to an exact
+integer interval of the last (int64; coordinates stay far below overflow
+at the scales this library targets).  A region whose box has more than
+2^26 columns x inequalities is refused.  Segment sums P + [0, u] reach it
+with no hull, from P's facets and edges (``segment_sums``), a host's
+directions in chunks of at most 2^14 padded cells.
 A lower-dimensional polytope carries one chart, the affine unimodular
 map x -> U (x - p0) for p0 its least point and U the transform that puts
 the columns A^T of its difference vectors into Hermite normal form
@@ -374,40 +375,48 @@ def _hull_3d(pts):
 # ---------------------------------------------------------------------------
 # lattice points by columns (polytopes and slab regions)
 
-_MAX_CELLS = 1 << 26  # columns x inequalities: 512 MB of int64
+_MAX_CELLS = 1 << 26  # columns x inequalities of one region: 512 MB of int64
+_BATCH_CELLS = 1 << 14  # padded columns x inequalities per chunk of sums
+_BIG = 1 << 60
 
 
-def _column_points(ineqs, lo, hi):
-    """Lex-sorted integer points x with <n, x> >= b for all (n, b) in
-    ineqs, for a region in Z^2 or Z^3 inside the box [lo, hi].
+def _column_points(N, B, lo, hi):
+    """Lex-sorted integer points x with N[i] x >= B[i], one tuple for each
+    region i in Z^2 or Z^3, which must lie inside the box [lo[i], hi[i]].
 
-    Each column of the box of the first n - 1 coordinates is cut to an
-    exact integer interval of the last; the inequalities must bound the
-    last coordinate both ways.  Raises ValueError, before any array is
-    built, when columns x inequalities exceeds 2^26.
+    N is (k, m, n), B is (k, m), lo and hi are (k, n).  The boxes of the
+    first n - 1 coordinates are padded to one shape, and each column is
+    cut to an exact integer interval of the last coordinate, which the
+    inequalities must bound both ways.  Raises ValueError, before any
+    array is built, when one region's columns x inequalities exceeds 2^26.
     """
-    box = tuple(zip(lo, hi))[:-1]
-    ncols = prod(b - a + 1 for a, b in box)
-    if ncols * len(ineqs) > _MAX_CELLS:
-        raise ValueError(f"lattice point box too large: {ncols} columns x "
-                         f"{len(ineqs)} inequalities = {ncols * len(ineqs)}"
-                         f" > 2^26")
-    F = np.array([n + (o,) for n, o in ineqs], dtype=np.int64)
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in box]
-    cols = np.empty((ncols, len(axes)), dtype=np.int64)
-    cols[:, 0] = np.repeat(axes[0], ncols // len(axes[0]))
-    if len(axes) == 2:
-        cols[:, 1] = np.tile(axes[1], len(axes[0]))
-    rhs = F[:, -1] - cols @ F[:, :-2].T  # n_z z >= rhs on each inequality
-    nz = F[:, -2]
-    up, down = nz > 0, nz < 0
-    zlo = (-(-rhs[:, up] // nz[up])).max(axis=1)
-    zhi = (rhs[:, down] // nz[down]).min(axis=1)
-    count = np.maximum(zhi - zlo + 1, 0)
-    count[(rhs[:, nz == 0] > 0).any(axis=1)] = 0
-    col = np.repeat(np.arange(ncols), count)
-    z = np.arange(len(col)) + (zlo - np.cumsum(count) + count)[col]
-    return tuple(map(tuple, np.column_stack([cols[col], z]).tolist()))
+    m = len(B[0])
+    widths = [[b - a + 1 for a, b in zip(l[:-1], h[:-1])]
+              for l, h in zip(lo, hi)]
+    for ncols in map(prod, widths):
+        if ncols * m > _MAX_CELLS:
+            raise ValueError(f"lattice point box too large: {ncols} columns"
+                             f" x {m} inequalities = {ncols * m} > 2^26")
+    N, B, lo = (np.asarray(a, dtype=np.int64) for a in (N, B, lo))
+    k, shape = len(N), [max(w) for w in zip(*widths)]
+    # f[row, region, column] = -rhs of n_z z >= rhs, an outer sum over the
+    # column axes, then floor(-rhs / |n_z|) in place
+    f = -B.T[:, :, None]
+    for j, w in enumerate(shape):
+        f = (f[:, :, :, None] + (N[:, :, j].T[:, :, None] * (
+            lo[:, j, None] + np.arange(w)))[:, :, None]).reshape(m, k, -1)
+    nz = N[:, :, -1].T[:, :, None]
+    f //= np.maximum(np.abs(nz), 1)
+    zlo = -np.min(f, axis=0, where=nz > 0, initial=_BIG)
+    zhi = np.min(f, axis=0, where=nz < 0, initial=_BIG)
+    zhi[np.min(f, axis=0, where=nz == 0, initial=0) < 0] = -_BIG
+    count = np.maximum(zhi - zlo + 1, 0).ravel()
+    col = np.repeat(np.arange(count.size), count)
+    z = np.arange(len(col)) + (zlo.ravel() - np.cumsum(count) + count)[col]
+    cols = lo[:, None, :-1] + np.indices(shape).reshape(len(shape), -1).T
+    pts = np.column_stack([cols.reshape(-1, len(shape))[col], z]).tolist()
+    ends = np.cumsum(count.reshape(k, -1).sum(axis=1)).tolist()
+    return [tuple(map(tuple, pts[a:b])) for a, b in zip([0] + ends, ends)]
 
 
 class Polytope:
@@ -462,9 +471,9 @@ class Polytope:
             lift, pad = self._chart.inverse(), (0,) * (self.ambient - self.dim)
             return tuple(sorted(lift(c + pad)
                                 for c in self._inner.lattice_points))
-        spans = tuple(zip(*self.vertices))
-        return _column_points(self.facets, tuple(map(min, spans)),
-                              tuple(map(max, spans)))
+        spans, (N, B) = tuple(zip(*self.vertices)), zip(*self.facets)
+        return _column_points([N], [B], [tuple(map(min, spans))],
+                              [tuple(map(max, spans))])[0]
 
     def contains(self, p):
         if self.dim == 0:
@@ -543,13 +552,19 @@ def minkowski_sum(P, Q):
 
 
 def segment_sums(P):
-    """u -> the lex-sorted lattice points of P + [0, u], for one host P.
+    """dirs -> the lex-sorted lattice points of P + [0, u] for each u of the
+    iterable dirs, lazily and in order, for one host P.
 
     A facet of a full-dimensional sum has a facet normal n of P (+-the
-    plane normal of a flat P) at offset b + min(0, <n, u>), or the normal
-    +-(e x u) of an edge e of P (+-u^perp in Z^2) at P's least and greatest
-    value; further valid inequalities change no point.  Lower-dimensional
-    sums (dim P <= 1, u in the plane of a flat P) take ``minkowski_sum``.
+    plane normal of a flat P) at offset b + min(0, <n, u>), or a multiple
+    of +-(e x u) for an edge e of P (+-u^perp in Z^2) at P's least and
+    greatest value; further valid inequalities change no point, so a side
+    row with e x u = 0 stays as the row 0 >= 0 and all sums of P have the
+    same rows.
+    Consecutive sums share one ``_column_points`` call, in chunks of at
+    most _BATCH_CELLS padded cells (one direction is drawn past a chunk
+    before it is computed).  Lower-dimensional sums (dim P <= 1, u in the
+    plane of a flat P) take ``minkowski_sum`` in their place.
     """
     n, verts, facets, coords = P.ambient, P.vertices, P.facets, P.vertices
 
@@ -557,30 +572,51 @@ def segment_sums(P):
         return minkowski_sum(P, convex_hull([(0,) * n, u])).lattice_points
 
     if P.dim < 2:
-        return hulled
+        return lambda dirs: map(hulled, dirs)
     if P.dim < n:
         h = P._chart.matrix[2]
         facets = ((h, vdot(h, verts[0])), (vneg(h), -vdot(h, verts[0])))
         coords = [P._chart(v)[:2] for v in verts]
     # edges: vertex pairs on dim - 1 common facets (of P._inner if flat)
     tight = [{f for f in P.facets if vdot(f[0], c) == f[1]} for c in coords]
-    edges = {canonical_sign(primitive(vsub(b, a))) for (a, s), (b, t)
-             in itertools.combinations(zip(verts, tight), 2)
-             if len(s & t) >= P.dim - 1}
-    lo, hi = tuple(map(min, *verts)), tuple(map(max, *verts))
+    edges = sorted({canonical_sign(primitive(vsub(b, a))) for (a, s), (b, t)
+                    in itertools.combinations(zip(verts, tight), 2)
+                    if len(s & t) >= P.dim - 1})
+    V, (Fn, Fb) = np.array(verts), map(np.array, zip(*facets))
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    width = (hi - lo + 1)[:-1].tolist()
+    rows = len(Fb) + 2 * (len(edges) if n == 3 else 1)
 
-    def points(u):
-        if P.dim < n and vdot(facets[0][0], u) == 0:
-            return hulled(u)
-        ineqs = [(m, b + min(0, vdot(m, u))) for m, b in facets]
-        sides = ({primitive((-u[1], u[0]))} if n == 2 else
-                 {canonical_sign(primitive(cross(e, u))) for e in edges})
-        for m in sides - {(0,) * n}:
-            vals = [vdot(m, v) for v in verts]
-            ineqs += [(m, min(vals)), (vneg(m), -max(vals))]
-        return _column_points(ineqs, tuple(map(min, lo, vadd(lo, u))),
-                              tuple(map(max, hi, vadd(hi, u))))
-    return points
+    def chunk(us):
+        U = np.array(us)
+        S = np.cross(edges, U[:, None]) if n == 3 else \
+            U[:, None, ::-1] * (-1, 1)  # u^perp
+        vals = S @ V.T
+        N = np.concatenate([np.broadcast_to(Fn, (len(U),) + Fn.shape), S, -S],
+                           axis=1)
+        B = np.concatenate([Fb + np.minimum(U @ Fn.T, 0), vals.min(axis=2),
+                            -vals.max(axis=2)], axis=1)
+        return _column_points(N, B, np.minimum(lo, lo + U).tolist(),
+                              np.maximum(hi, hi + U).tolist())
+
+    def sums(dirs):
+        batch, shape = [], None
+        for u in dirs:
+            own = [w + abs(x) for w, x in zip(width, u)]
+            wide = list(map(max, shape, own)) if batch else own
+            inplane = P.dim < n and vdot(h, u) == 0
+            if batch and (inplane or (len(batch) + 1) * prod(wide) * rows
+                          > _BATCH_CELLS):
+                yield from chunk(batch)
+                batch, wide = [], own
+            if inplane:
+                yield hulled(u)
+            else:
+                batch.append(u)
+                shape = wide
+        if batch:
+            yield from chunk(batch)
+    return sums
 
 
 def good_polytope(P, bound=14):
@@ -758,9 +794,9 @@ class RationalHalfSpaceSystem:
                  if (det := mat_det(N))]
         box = [min(self.bound * sum(map(abs, adj[j])) // det
                    for adj, det in bases) for j in range(n)]
-        ineqs = [(n, -self.bound) for n in self.normals] \
-            + [(vneg(n), -self.bound) for n in self.normals]
-        return list(_column_points(ineqs, [-r for r in box], box))
+        N = self.normals + tuple(map(vneg, self.normals))
+        return list(_column_points([N], [[-self.bound] * len(N)],
+                                   [[-r for r in box]], [box])[0])
 
     def primitive_points(self):
         return sorted({canonical_sign(p) for p in self.integer_points()

@@ -337,13 +337,9 @@ def monomial_substitution(f, phi):
     """Apply an affine unimodular map to the exponent vectors of f.
 
     The translation part multiplies by a monomial, which is invertible on
-    the torus, so N_f is unchanged."""
-    F = f.field
-    out = {}
-    for a, c in f.terms:
-        b = phi(a)
-        out[b] = F.add(out.get(b, 0), c)
-    return LaurentPolynomial.make(F, out)
+    the torus, so N_f is unchanged; phi is a bijection (det +-1), so the
+    image exponents are distinct."""
+    return LaurentPolynomial.make(f.field, {phi(a): c for a, c in f.terms})
 
 
 def random_polynomial(P, field, seed):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import lshift
+from operator import lshift, sub
 
 from .catalog import named_polytope
 from .geometry import (Polytope, canonical_sign, convex_hull, equivalent,
@@ -98,10 +98,14 @@ def _vector(frame, d):
 def _directions(frame, S):
     """Packed canonical primitive difference vectors realized in S, in
     lex order of the vectors.  Erosion of S by any one of them is
-    nonempty."""
-    diffs = {b - a for a, b in itertools.combinations(sorted(S), 2)}
-    for d in sorted(diffs):
-        if math.gcd(*_vector(frame, d)) == 1:
+    nonempty.  The least difference, the least gap of sorted S, comes
+    first without the O(|S|^2) set of all differences."""
+    s = sorted(S)
+    first = min(map(sub, s[1:], s), default=0)
+    if math.gcd(*_vector(frame, first)) == 1:
+        yield first
+    for d in sorted({b - a for a, b in itertools.combinations(s, 2)}):
+        if d > first and math.gcd(*_vector(frame, d)) == 1:
             yield d
 
 
@@ -136,6 +140,12 @@ class _ChainSearch:
         if self.refuted.get(key, _BIG) > need:
             self.refuted[key] = need
         return False
+
+
+def _has_length(cs, frame, S, L):
+    """True iff the packed set S has length exactly L; refuting L + 1
+    first decides most sets without proving L."""
+    return not cs.reach(frame, S, L + 1) and cs.reach(frame, S, L)
 
 
 def _length(cs, frame, S):
@@ -227,15 +237,9 @@ def find_segments(P, target_L, bound=None, search=None):
                 "T0" if P.ambient == 3 else "T0_2d")) is not None:
             bound = 2
     cs = search if search is not None else _ChainSearch()
-    region = good_polytope(P, bound)
-    sums = segment_sums(P)
-    out = []
-    for u in region.primitive_points():
-        frame, S = _pack(sums(u))
-        if cs.reach(frame, S, target_L) \
-                and not cs.reach(frame, S, target_L + 1):
-            out.append(u)
-    return out
+    dirs = good_polytope(P, bound).primitive_points()
+    return [u for u, pts in zip(dirs, segment_sums(P)(dirs))
+            if _has_length(cs, *_pack(pts), target_L)]
 
 
 def unit_triangle_segment_sweep(rmax, triangle="unit"):
@@ -249,9 +253,9 @@ def unit_triangle_segment_sweep(rmax, triangle="unit"):
         raise ValueError("triangle must be 'unit' or 'T0'")
     sums, cs = segment_sums(T), _ChainSearch()
     for r in range(rmax, 0, -1):
-        if any(math.gcd(p, q, r) == 1
-               and not cs.reach(*_pack(sums((p, q, r))), 3)
-               for p in range(r + 1) for q in range(r + 1)):
+        layer = [(p, q, r) for p in range(r + 1) for q in range(r + 1)
+                 if math.gcd(p, q, r) == 1]
+        if any(not cs.reach(*_pack(S), 3) for S in sums(layer)):
             return r
     return 0
 
@@ -423,11 +427,8 @@ def three_segments_width_scan(case, cmax=14):
         raise ValueError("case must be 1 or 2")
     sums, cs = segment_sums(base), _ChainSearch()
     for c in range(cmax, 0, -1):
-        for b in range(c):
-            for a in range(b + 1):
-                if math.gcd(a, b, c) != 1:
-                    continue
-                frame, S = _pack(sums((a, b, c)))
-                if cs.reach(frame, S, 3) and not cs.reach(frame, S, 4):
-                    return c
+        layer = [(a, b, c) for b in range(c) for a in range(b + 1)
+                 if math.gcd(a, b, c) == 1]
+        if any(_has_length(cs, *_pack(S), 3) for S in sums(layer)):
+            return c
     return 0

@@ -7,16 +7,17 @@ import pytest
 
 from conftest import (random_affine_map, random_points, random_polytope,
                       random_unimodular)
+from toric3 import geometry
 from toric3.catalog import catalog_names, named_polytope
-from toric3.geometry import (Polytope, RationalHalfSpaceSystem, UnimodularMap,
-                             _adjugate, _hnf_transform, _normal_form,
-                             ambient_vol3, canonical_sign, convex_hull, cross,
-                             equivalent, erode, int_rank, is_primitive,
-                             lattice_points, lattice_width, mat_det, mat_mul,
-                             mat_vec, minkowski_sum, mixed_area,
-                             normalized_volume, primitive, segment_sums,
-                             shape_predicates, tuple_equivalent, vadd, vdot,
-                             vneg, vol2, vsub, width_in_direction)
+from toric3.geometry import (_BATCH_CELLS, Polytope, RationalHalfSpaceSystem,
+                             UnimodularMap, _adjugate, _hnf_transform,
+                             _normal_form, ambient_vol3, canonical_sign,
+                             convex_hull, cross, equivalent, erode, int_rank,
+                             is_primitive, lattice_points, lattice_width,
+                             mat_det, mat_mul, mat_vec, minkowski_sum,
+                             mixed_area, normalized_volume, primitive,
+                             segment_sums, shape_predicates, tuple_equivalent,
+                             vadd, vdot, vneg, vol2, vsub, width_in_direction)
 from toric3.minklen import good_polytope
 
 
@@ -214,7 +215,7 @@ class TestHullOracle:
 
 
 class TestSegmentSums:
-    """segment_sums(P)(u) against the two-hull sum it replaces."""
+    """segment_sums(P)(dirs) against the two-hull sums it replaces."""
 
     CATALOG = ("T0", "T0_2d", "S1", "S2", "E", "K1", "K2", "S", "T1", "T2",
                "P8", "Q8", "EX72")
@@ -233,6 +234,11 @@ class TestSegmentSums:
             out.append(convex_hull(pts))
         return out
 
+    @staticmethod
+    def hulled(P, us):
+        n = P.ambient
+        return [minkowski_sum(P, convex_hull([(0,) * n, u])) for u in us]
+
     def test_against_minkowski_sum(self, rng):
         hosts = [named_polytope(nm) for nm in self.CATALOG] + [
             convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
@@ -242,21 +248,69 @@ class TestSegmentSums:
         for P in hosts:
             n = P.ambient
             kinds.add((n, P.dim))
-            sums = segment_sums(P)
             verts = P.vertices
             d1 = vsub(verts[-1], verts[0])
             d2 = vsub(verts[len(verts) // 2], verts[0])
-            # collinear with a segment P, or in the plane of a flat P
-            us = [d1, vneg(d1), vadd(d1, d2), vsub(d1, vadd(d2, d2))]
-            us += [tuple(int(x) for x in rng.integers(-6, 7, n))
-                   for _ in range(12)]
-            for u in us:
-                S = minkowski_sum(P, convex_hull([(0,) * n, u]))
-                assert sums(u) == S.lattice_points, (P, u)
-                degenerate += S.dim < n
+            # collinear with a segment P, or in the plane of a flat P, and
+            # the zero direction, mixed with random ones in one batch
+            us = [tuple(int(x) for x in rng.integers(-6, 7, n))
+                  for _ in range(12)]
+            for i, u in enumerate([d1, vneg(d1), vadd(d1, d2),
+                                   vsub(d1, vadd(d2, d2)), (0,) * n]):
+                us.insert(3 * i, u)
+            sums = self.hulled(P, us)
+            assert list(segment_sums(P)(us)) == \
+                [S.lattice_points for S in sums], P
+            degenerate += sum(S.dim < n for S in sums)
         assert kinds == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2),
                          (3, 3)}
         assert degenerate > 300
+
+    @pytest.mark.parametrize("name", ["T0", "K2", "EX72"])
+    def test_directions_over_several_chunks(self, name, monkeypatch):
+        P = named_polytope(name)
+        us = [u for u in itertools.product(range(-4, 5), repeat=3) if any(u)]
+        chunks, kernel = [], geometry._column_points
+
+        def spy(N, B, lo, hi):  # the hull path enumerates T0's sums in Z^2
+            widths = np.subtract(hi, lo)[:, :-1].max(axis=0) + 1
+            if len(lo[0]) == 3:
+                chunks.append((len(N), int(np.prod(widths)) * len(B[0])))
+            return kernel(N, B, lo, hi)
+
+        sums = self.hulled(P, us)
+        want = [S.lattice_points for S in sums]
+        monkeypatch.setattr(geometry, "_column_points", spy)
+        assert list(segment_sums(P)(us)) == want
+        assert sum(k for k, _ in chunks) == sum(S.dim == 3 for S in sums)
+        assert len(chunks) > 4
+        assert all(k * cells <= _BATCH_CELLS for k, cells in chunks if k > 1)
+
+    def test_oversized_sum_in_batch(self):
+        # columns x inequalities of the third sum exceed 2^26; the sums
+        # before it still come out
+        sums = segment_sums(named_polytope("T0"))((
+            (1, 0, 0), (0, 1, 2), (10 ** 5, 10 ** 5, 1), (1, 1, 1)))
+        assert len(next(sums)) and len(next(sums))
+        with pytest.raises(ValueError, match="> 2\\^26"):
+            next(sums)
+
+    @pytest.mark.parametrize("name", ["T0", "T0_2d", "K2"])
+    def test_lazy(self, name):
+        P = named_polytope(name)
+        drawn = []
+
+        def directions():  # some of them in the plane of T0
+            for k in range(1, 20001):
+                drawn.append((k % 5, 1, k % 3 - 1)[:P.ambient])
+                yield drawn[-1]
+
+        first = next(segment_sums(P)(directions()))
+        assert first == self.hulled(P, drawn[:1])[0].lattice_points
+        # a sum has at least one column and as many rows as P has facets,
+        # so a chunk holds at most _BATCH_CELLS // len(P.facets) sums, and
+        # one more direction is drawn to close it
+        assert len(drawn) <= _BATCH_CELLS // len(P.facets) + 1
 
 
 class TestExactLinearAlgebra:

@@ -7,12 +7,12 @@ from toric3.catalog import named_polytope
 from toric3.geometry import (UnimodularMap, canonical_sign, convex_hull,
                              equivalent, erode, is_primitive, lattice_points,
                              minkowski_sum, vadd, vneg, vsub)
-from toric3.minklen import (_ChainSearch, _pack, add_tetra_huh,
-                            add_triangle_huh, classify_pair, classify_triple,
-                            find_segments, find_tetra, find_triangles,
-                            good_polytope, has_length_at_most, is_dps,
-                            maximal_segment_decompositions, minkowski_length,
-                            three_segments_width_scan)
+from toric3.minklen import (_ChainSearch, _directions, _pack, _vector,
+                            add_tetra_huh, add_triangle_huh, classify_pair,
+                            classify_triple, find_segments, find_tetra,
+                            find_triangles, good_polytope, has_length_at_most,
+                            is_dps, maximal_segment_decompositions,
+                            minkowski_length, three_segments_width_scan)
 
 UNIT_TRIANGLE = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
@@ -407,6 +407,16 @@ class TestPackedChainSearchOracle:
 
     def test_seeded_sets(self, rng):
         self.compare(oracle_point_sets(rng))
+
+    def test_directions(self, rng):
+        # the least difference is yielded before the pair set is built,
+        # and skipped when it is not primitive
+        hand = [{(0, 0, 0), (0, 0, 2), (0, 0, 5)}, {(0, 0), (0, 2), (1, 0)},
+                {(0, 0), (2, 2), (5, 5)}, {(3, 4, 5)}]
+        for S in oracle_point_sets(rng) + hand:
+            frame, packed = _pack(S)
+            assert [_vector(frame, d) for d in _directions(frame, packed)] \
+                == ReferenceSearch.directions(S)
 
     def test_wide_spread(self):
         # coordinate spreads of 2^22 and more need a wider packing
