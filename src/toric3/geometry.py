@@ -411,10 +411,10 @@ def _column_points(N, B, lo, hi):
     zhi = np.min(f, axis=0, where=nz < 0, initial=_BIG)
     zhi[np.min(f, axis=0, where=nz == 0, initial=0) < 0] = -_BIG
     count = np.maximum(zhi - zlo + 1, 0).ravel()
-    col = np.repeat(np.arange(count.size), count)
-    z = np.arange(len(col)) + (zlo.ravel() - np.cumsum(count) + count)[col]
+    z = np.repeat(zlo.ravel() - np.cumsum(count) + count, count)
     cols = lo[:, None, :-1] + np.indices(shape).reshape(len(shape), -1).T
-    pts = np.column_stack([cols.reshape(-1, len(shape))[col], z]).tolist()
+    pts = np.column_stack([np.repeat(cols.reshape(-1, len(shape)), count,
+                                     axis=0), z + np.arange(len(z))]).tolist()
     ends = np.cumsum(count.reshape(k, -1).sum(axis=1)).tolist()
     return [tuple(map(tuple, pts[a:b])) for a, b in zip([0] + ends, ends)]
 
