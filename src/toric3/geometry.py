@@ -407,15 +407,18 @@ def _column_points(N, B, lo, hi):
             lo[:, j, None] + np.arange(w)))[:, :, None]).reshape(m, k, -1)
     nz = N[:, :, -1].T[:, :, None]
     f //= np.maximum(np.abs(nz), 1)
-    zlo = -np.min(f, axis=0, where=nz > 0, initial=_BIG)
-    zhi = np.min(f, axis=0, where=nz < 0, initial=_BIG)
-    zhi[np.min(f, axis=0, where=nz == 0, initial=0) < 0] = -_BIG
+    # z >= -f where n_z > 0, z <= f where n_z < 0; f < 0 where n_z = 0
+    # empties the column
+    zlo = -np.minimum.reduce(f, where=nz > 0, initial=_BIG)
+    zhi = np.minimum.reduce(f, where=nz < 0, initial=_BIG)
+    zhi[np.minimum.reduce(f, where=nz == 0, initial=0) < 0] = -_BIG
     count = np.maximum(zhi - zlo + 1, 0).ravel()
-    z = np.repeat(zlo.ravel() - np.cumsum(count) + count, count)
+    z = np.repeat(zlo.ravel() - np.add.accumulate(count) + count, count)
+    z += np.arange(len(z))
     cols = lo[:, None, :-1] + np.indices(shape).reshape(len(shape), -1).T
-    pts = np.column_stack([np.repeat(cols.reshape(-1, len(shape)), count,
-                                     axis=0), z + np.arange(len(z))]).tolist()
-    ends = np.cumsum(count.reshape(k, -1).sum(axis=1)).tolist()
+    xy = np.repeat(cols.reshape(-1, len(shape)), count, axis=0)
+    pts = np.concatenate([xy, z[:, None]], axis=1).tolist()
+    ends = np.add.accumulate(count.reshape(k, -1).sum(axis=1)).tolist()
     return [tuple(map(tuple, pts[a:b])) for a, b in zip([0] + ends, ends)]
 
 
