@@ -377,7 +377,7 @@ def _hull_3d(pts):
 
 _MAX_CELLS = 1 << 26  # columns x inequalities of one region: 512 MB of int64
 _BATCH_CELLS = 1 << 14  # padded columns x inequalities per chunk of sums
-_BIG = 1 << 60
+_BIG = 1 << 60  # beyond every cut value
 
 
 def _column_points(N, B, lo, hi):
