@@ -9,7 +9,9 @@ integer interval of the last (int64; coordinates stay far below overflow
 at the scales this library targets).  A region whose box has more than
 2^26 columns x inequalities is refused.  Segment sums P + [0, u] reach it
 with no hull, from P's facets and edges (``segment_sums``), a host's
-directions in chunks of at most 2^14 padded cells.
+directions in chunks of at most 2^14 padded cells.  A slab region reads
+its rows and its box off the hull of its +-normals, and a 3-dimensional
+volume is read off the hull's triangles.
 A lower-dimensional polytope carries one chart, the affine unimodular
 map x -> U (x - p0) for p0 its least point and U the transform that puts
 the columns A^T of its difference vectors into Hermite normal form
@@ -248,11 +250,9 @@ class UnimodularMap:
 # convex hull
 
 def _hull_2d(points):
-    """Andrew's monotone chain; returns hull vertices in ccw order,
-    minimal (collinear points dropped)."""
+    """Andrew's monotone chain on points spanning Z^2; returns hull
+    vertices in ccw order, minimal (collinear points dropped)."""
     pts = sorted(set(points))
-    if len(pts) == 1:
-        return pts
 
     def half(seq):
         out = []
@@ -270,14 +270,12 @@ def _hull_2d(points):
 
     lower = half(pts)
     upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all collinear segment degenerates
-        hull = [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def _hull_3d(pts):
-    """Vertices and facets of the hull of distinct points spanning Z^3.
+    """Vertices, facets and normalized volume of the hull of distinct
+    points spanning Z^3.
 
     Exact incremental hull (Clarkson-Shor), taking points in Quickhull's
     farthest-first order.  The boundary is a set of outward-oriented
@@ -288,7 +286,10 @@ def _hull_3d(pts):
     edges lie in a plane the point is strictly beyond, so no triangle is
     degenerate.  Coplanar triangles merge into facets at the end, returned
     as sorted (primitive inward normal, offset) pairs with
-    <normal, x> >= offset.
+    <normal, x> >= offset.  The offset <(v - u) x (w - u), u> of an
+    outward triangle (u, v, w) is det(u, v, w), six times the signed
+    volume of its cone from the origin, so the final offsets sum to the
+    normalized volume.
     """
     # 3D dot and cross products spelled out: they run for every triangle
     # of the thousands of tiny hulls a segment sweep builds
@@ -369,7 +370,7 @@ def _hull_3d(pts):
     # at most two facets share an edge, so three facet normals at a
     # corner already have rank 3 and make it a vertex
     verts = [p for p, ns in normals.items() if len(ns) >= 3]
-    return verts, tuple(sorted(facets))
+    return verts, tuple(sorted(facets)), sum(t[2] for t in tris.values())
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +493,6 @@ class Polytope:
     def n_points(self):
         return len(self.lattice_points)
 
-    def translate(self, v):
-        return convex_hull([vadd(w, v) for w in self.vertices])
-
 
 def convex_hull(points):
     """Exact convex hull of integer points in Z^2 or Z^3."""
@@ -513,7 +511,7 @@ def convex_hull(points):
     if dim == 0:
         return Polytope(n, 0, (p0,))
     if dim == n == 3:
-        return Polytope(n, 3, *_hull_3d(pts))
+        return Polytope(n, 3, *_hull_3d(pts)[:2])
     if dim == n:
         hull = _hull_2d(pts)
         facets = []
@@ -652,7 +650,8 @@ def _relative_vol2(points):
 
 
 def normalized_volume(P):
-    """dim!-normalized volume of P measured in the lattice of aff(P)."""
+    """dim!-normalized volume of P measured in the lattice of aff(P); in
+    dimension 3 the one that ``_hull_3d`` sums over its triangles."""
     if P.dim == 0:
         return 0
     if P.dim < P.ambient:
@@ -661,19 +660,7 @@ def normalized_volume(P):
         return P.vertices[-1][0] - P.vertices[0][0]
     if P.dim == 2:
         return _relative_vol2(P.vertices)
-    # dim 3: pyramids from the first vertex over the facets.  Projection
-    # along an axis k with n_k != 0 maps a facet plane's lattice onto a
-    # sublattice of index |n_k| in Z^2, which scales its area by |n_k|.
-    v0 = P.vertices[0]
-    total = 0
-    for nvec, off in P.facets:
-        height = vdot(nvec, v0) - off
-        if height:
-            k = next(i for i, x in enumerate(nvec) if x)
-            flat = [p[:k] + p[k + 1:] for p in P.vertices
-                    if vdot(nvec, p) == off]
-            total += height * _relative_vol2(flat) // abs(nvec[k])
-    return total
+    return _hull_3d(P.vertices)[2]
 
 
 def ambient_vol3(P):
@@ -734,27 +721,20 @@ def width_in_direction(P, v):
 def lattice_width(P):
     """Lattice width and a witness direction (lex-smallest canonical witness).
 
-    The search region is rigorous: pick affinely independent lattice points
-    p_0..p_dim of P; for the optimal primitive v one has
-    |<v, p_i - p_0>| <= w_v(P) <= B with B = min_i w_{e_i}(P), so it is
-    enough to scan the (bounded) dual box {v : |<v, d_i>| <= B}.
+    The search region is rigorous: with B = min_i w_{e_i}(P), every v with
+    w_v(P) <= B has |<v, p - p_0>| <= w_v(P) <= B for all vertices p and
+    the first vertex p_0, and these differences span R^n, so it is enough
+    to scan the bounded slab region {v : |<v, p - p_0>| <= B}.
     """
     if P.dim != P.ambient:
         raise ValueError("lattice_width needs a full-dimensional polytope")
     n = P.ambient
     B = min(width_in_direction(P, tuple(1 if i == j else 0 for j in range(n)))
             for i in range(n))
-    # affinely independent vertex subset
     p0 = P.vertices[0]
-    dirs = []
-    for p in P.vertices[1:]:
-        d = vsub(p, p0)
-        if int_rank(dirs + [d]) > len(dirs):
-            dirs.append(d)
-        if len(dirs) == n:
-            break
+    region = RationalHalfSpaceSystem([vsub(p, p0) for p in P.vertices[1:]], B)
     return min((width_in_direction(P, v), v)
-               for v in RationalHalfSpaceSystem(dirs, B).primitive_points())
+               for v in region.primitive_points())
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +753,13 @@ class RationalHalfSpaceSystem:
     """The region {x : |<n, x>| <= bound for every n in normals}.
 
     Only its integer points are exposed; the region itself may have
-    rational vertices.  It is bounded exactly when the normals span R^n,
-    and then x = adj(N) N x / det(N) for any n independent normals N
-    bounds |x_j| by bound * sum_i |adj(N)_ji| / |det N|.  (The name
-    predates the slab form; the benchmark's spans are keyed on it.)
+    rational vertices.  It is bound * Z°, the polar of the hull Z of the
+    +-normals: bounded exactly when Z is full-dimensional, cut out by
+    <v, x> >= -bound for the vertices v of Z, and with one vertex
+    bound * m / off for each facet <m, z> >= off of Z (off < 0, as 0 is
+    interior).  So the largest x_j, the optimum of the LP max x_j, is the
+    largest bound * m_j / off.  (The name predates the slab form; the
+    benchmark's spans are keyed on it.)
     """
 
     def __init__(self, normals, bound):
@@ -784,21 +767,20 @@ class RationalHalfSpaceSystem:
         self.bound = int(bound)
         if self.bound < 0:
             raise ValueError("bound must be nonnegative")
-        if not self.normals or int_rank(self.normals) < len(self.normals[0]):
+        if not self.normals:
+            raise ValueError("unbounded region")
+        self._hull = convex_hull(self.normals + tuple(map(vneg, self.normals)))
+        if self._hull.dim < len(self.normals[0]):
             raise ValueError("unbounded region")
 
     def contains(self, x):
         return all(abs(vdot(n, x)) <= self.bound for n in self.normals)
 
     def integer_points(self):
-        n = len(self.normals[0])
-        bases = [(_adjugate(N), abs(det))
-                 for N in itertools.combinations(self.normals, n)
-                 if (det := mat_det(N))]
-        box = [min(self.bound * sum(map(abs, adj[j])) // det
-                   for adj, det in bases) for j in range(n)]
-        N = self.normals + tuple(map(vneg, self.normals))
-        return list(_column_points([N], [[-self.bound] * len(N)],
+        Z, b = self._hull, self.bound
+        box = [max(b * m[j] // off for m, off in Z.facets)
+               for j in range(Z.ambient)]
+        return list(_column_points([Z.vertices], [[-b] * len(Z.vertices)],
                                    [[-r for r in box]], [box])[0])
 
     def primitive_points(self):

@@ -165,8 +165,6 @@ def _points(P):
 def minkowski_length(P, search=None):
     """Exact L(P) with a verifying :class:`Decomposition` certificate."""
     pts = _points(P)
-    if len(pts) == 1:
-        return 0, Decomposition((), min(pts))
     cs = search if search is not None else _ChainSearch()
     frame, S = _pack(pts)
     L = _length(cs, frame, S)
@@ -177,11 +175,8 @@ def minkowski_length(P, search=None):
 
 def has_length_at_most(P, k, search=None):
     """True iff L(P) <= k; stops as soon as a length-(k+1) chain appears."""
-    pts = _points(P)
-    if len(pts) == 1:
-        return k >= 0
     cs = search if search is not None else _ChainSearch()
-    return not cs.reach(*_pack(pts), k + 1)
+    return not cs.reach(*_pack(_points(P)), k + 1)
 
 
 def is_dps(P):

@@ -412,20 +412,21 @@ def params_report(P, q, engine="auto"):
     pts = np.array(code.exponents, dtype=np.int64)
     in_box = bool(np.all(pts.max(axis=0) - pts.min(axis=0) <= q - 2))
     box_flag = ("P fits in a translate of [0,q-2]^m", in_box)
+    s_bound = simplex_bound(L, q, n=P.ambient)
     reports = [
         (BoundReport("griesmer", g_d, (), (("n", code.n), ("k", code.k))),
          d <= g_d),
         (BoundReport("gilbert_varshamov", gv_d, (),
                      (("n", code.n), ("k", code.k))), None),
-        (BoundReport("simplex", simplex_bound(L, q, n=P.ambient),
-                     (box_flag,), (("L", L),)),
-         n_p <= simplex_bound(L, q, n=P.ambient) if in_box else None),
+        (BoundReport("simplex", s_bound, (box_flag,), (("L", L),)),
+         n_p <= s_bound if in_box else None),
     ]
     if P.dim == 3 and L == 1:
-        v = dps_volume_bound(normalized_volume(P), q)
+        vol = normalized_volume(P)
+        v = dps_volume_bound(vol, q)
         reports.append((BoundReport(
             "dps_volume", v, (("char > 41", char_ok), box_flag),
-            (("vol3", normalized_volume(P)),)),
+            (("vol3", vol),)),
             n_p <= v if char_ok and in_box else None))
     if P.dim == 3 and lattice_width(P)[0] == 1:
         v = width_one_final_bound(L, q)

@@ -357,6 +357,17 @@ class TestVolumes:
             Pd = convex_hull([(0, 0, 0), (d, 0, 0), (0, d, 0), (0, 0, d)])
             assert normalized_volume(Pd) == d ** 3
 
+    def test_against_pyramids(self, rng):
+        hulls = [P for _, P in catalog_polytopes() if P.dim == 3]
+        while len(hulls) < 520:
+            box = int(rng.integers(1, 9))
+            P = random_polytope(rng, count=int(rng.integers(4, 25)), box=box,
+                                low=-box)
+            if P.dim == 3:
+                hulls.append(P)
+        for P in hulls:
+            assert normalized_volume(P) == pyramid_volume(P), P
+
     def test_flat_polytopes(self):
         tri = convex_hull([(0, 0, 5), (1, 0, 5), (0, 1, 5)])
         assert ambient_vol3(tri) == 0
@@ -428,6 +439,9 @@ class TestWidth:
                 continue
             assert lattice_width(P) == reference_width(P), P
             done += 1
+        for n in (2, 3):
+            for P in many_vertex_polytopes(rng, n, 40):
+                assert lattice_width(P) == reference_width(P), P
 
 
 class TestErosion:
@@ -564,6 +578,52 @@ def reference_width(P):
     return best
 
 
+def many_facet_hulls(rng):
+    """Seeded 30-point hulls in [0, 11]^3, the first with 24 to 26 facets
+    and the first with 34 to 36."""
+    out = {}
+    while len(out) < 2:
+        P = random_polytope(rng, count=30, box=11)
+        for c in (25, 35):
+            if abs(len(P.facets) - c) <= 1:
+                out.setdefault(c, P)
+    return [out[25], out[35]]
+
+
+def many_vertex_polytopes(rng, n, count):
+    """Seeded full-dimensional polytopes in Z^n with 8 to 20 vertices:
+    hulls of random lattice points near a sphere, translated."""
+    out = []
+    while len(out) < count:
+        r = int(rng.integers(3, 7))
+        shell = [p for p in itertools.product(range(-r, r + 1), repeat=n)
+                 if r * r - 2 * r < sum(x * x for x in p) <= r * r]
+        t = tuple(int(x) for x in rng.integers(-3, 4, size=n))
+        picks = rng.choice(len(shell), size=min(len(shell), 24),
+                           replace=False)
+        P = convex_hull([vadd(shell[i], t) for i in picks])
+        if P.dim == n and 8 <= len(P.vertices) <= 20:
+            out.append(P)
+    return out
+
+
+def pyramid_volume(P):
+    """Normalized volume of a full-dimensional P in Z^3 from pyramids over
+    its facets from the first vertex.  Projection along an axis k with
+    n_k != 0 maps a facet plane's lattice onto a sublattice of index |n_k|
+    in Z^2, which scales its area by |n_k|."""
+    v0 = P.vertices[0]
+    total = 0
+    for nvec, off in P.facets:
+        height = vdot(nvec, v0) - off
+        if height:
+            k = next(i for i, x in enumerate(nvec) if x)
+            flat = [p[:k] + p[k + 1:] for p in P.vertices
+                    if vdot(nvec, p) == off]
+            total += height * vol2(convex_hull(flat)) // abs(nvec[k])
+    return total
+
+
 def catalog_polytopes():
     names = [nm for nm in catalog_names() if ":" not in nm]
     names += ["Tab:2,3", "Tab:3,5", "Howe:2,3", "Howe:4,7"]
@@ -586,11 +646,13 @@ class TestHalfSpaceSystem:
         assert not region.contains((1, 1, 1))
 
     def test_integer_points_against_scan(self, rng):
-        # random slab regions: the points are exactly those of a scan of a
-        # box that covers the kernel's box and the region's vertex box
-        done = 0
-        while done < 120:
-            n = 2 + done % 2
+        # random slab regions, and the good-polytope regions at bound 3 of
+        # 30-point hulls with about 25 and 35 facets: the points are exactly
+        # those of a scan of a box that covers the region's box from every
+        # independent n-subset of the normals and its vertex box
+        systems = []
+        while len(systems) < 120:
+            n = 2 + len(systems) % 2
             normals = [tuple(int(x) for x in rng.integers(-3, 4, size=n))
                        for _ in range(int(rng.integers(1, 6)))]
             bound = int(rng.integers(0, 7))
@@ -598,8 +660,12 @@ class TestHalfSpaceSystem:
                 with pytest.raises(ValueError, match="unbounded"):
                     RationalHalfSpaceSystem(normals, bound)
                 continue
-            region = RationalHalfSpaceSystem(normals, bound)
-            pts = region.integer_points()
+            systems.append((normals, bound))
+        systems += [([n for n, _ in P.facets], 3)
+                    for P in many_facet_hulls(rng)]
+        for normals, bound in systems:
+            n = len(normals[0])
+            pts = RationalHalfSpaceSystem(normals, bound).integer_points()
             # |x_j| <= bound sum_i |(N^-1)_ji| for independent N, exactly
             box = [min(int(bound * sum(abs(Fraction(x, mat_det(N)))
                                        for x in _adjugate(N)[j]))
@@ -611,7 +677,6 @@ class TestHalfSpaceSystem:
             scan = box_filter(slab(normals, bound), [-r] * n, [r] * n)
             assert pts == scan
             assert pts == sorted(set(pts))
-            done += 1
 
     def test_unbounded_region_raises(self):
         with pytest.raises(ValueError, match="unbounded"):

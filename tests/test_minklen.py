@@ -47,7 +47,11 @@ class TestMinkowskiLength:
         assert minkowski_length(seg)[0] == 5
 
     def test_point(self):
-        assert minkowski_length(convex_hull([(1, 2, 3)]))[0] == 0
+        P = convex_hull([(1, 2, 3)])
+        L, cert = minkowski_length(P)
+        assert (L, cert.directions, cert.anchor) == (0, (), (1, 2, 3))
+        assert [has_length_at_most(P, k) for k in (-1, 0, 1)] == \
+            [False, True, True]
 
     def test_catalog_sums(self):
         K1 = named_polytope("K1")
