@@ -41,7 +41,7 @@ from .gfq import make_field
 from .minklen import minkowski_length
 
 BUDGET = 10_000_000_000  # coordinate updates allowed per exhaustive sweep
-_CHUNK_COORDS = 1 << 23  # batch size target: coordinates touched per chunk
+_CHUNK_COORDS = 1 << 19  # coordinates touched per chunk; cache-sized
 
 
 class BudgetExceeded(RuntimeError):
@@ -83,8 +83,8 @@ class _WeightEngine:
     expansion, mod p, are the codeword digits.  ``count`` takes the
     codes of prefixes m with m_c = 0 to the zeros of m + a e_c for all a
     at once: coordinate j is a zero iff code_j = -a g_cj, one comparison
-    against a table of these multiples, built for each call in slices of
-    at most _CHUNK_COORDS codes.
+    against a table of these multiples (-G and the tables in the code
+    dtype), built per call in slices of at most _CHUNK_COORDS codes.
     """
 
     def __init__(self, field, gen):
@@ -100,7 +100,7 @@ class _WeightEngine:
         xg = field.mul(field.p ** np.arange(field.e)[:, None, None], gen)
         self._gen = field.codes_to_digits(xg).transpose(1, 0, 3, 2).reshape(
             self.k * field.e, field.e * self.n).astype(self._dtype)  # x^i G
-        self._minus_g = field.neg(gen)
+        self._minus_g = field.neg(gen).astype(self._code)
 
     def zeros(self, msgs):
         """Zero-coordinate count per row for a (b, k) batch of codes."""
@@ -120,7 +120,7 @@ class _WeightEngine:
     def count(self, codes, c, values):
         """(b, len(values)) zero counts of m + a e_c, a in the range
         ``values``, from the ``codes`` of prefixes m with m_c = 0.  The
-        values run in slices of at most _CHUNK_COORDS // n."""
+        values run in slices of max(1, _CHUNK_COORDS // n)."""
         out = np.empty((len(codes), len(values)), np.min_scalar_type(self.n))
         step = max(1, _CHUNK_COORDS // self.n)
         for lo in range(0, len(values), step):
@@ -305,7 +305,7 @@ def _information_sets(field, gen, m=0):
         fresh = cols[~used[cols]]
         if fresh.size == 0 or cols.size < k:
             break
-        systematic = np.empty_like(R)
+        systematic = np.empty(R.shape, np.min_scalar_type(field.q - 1))
         systematic[:, order] = R
         used[cols], moved = True, []
         for lo in range(1, n if m else 1, step):  # translates, in chunks

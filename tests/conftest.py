@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ def random_affine_map(rng, n=3, tbox=3):
     mat = random_unimodular(rng, n)
     tr = tuple(int(rng.integers(-tbox, tbox + 1)) for _ in range(n))
     return UnimodularMap(mat, tr)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) under tracemalloc: (result, peak traced bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,11 +3,11 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import traced_peak
 from toric3 import cli
 from toric3.catalog import named_polytope
 
@@ -140,12 +140,8 @@ class TestLengthAndSearches:
         f = tmp_path / "huge.json"
         f.write_text(json.dumps({"vertices": [
             [0, 0, 0], [10 ** 7, 0, 0], [0, 10 ** 7, 0], [0, 0, 10 ** 7]]}))
-        tracemalloc.start()
-        try:
-            rc = cli.run([str(f) if a == "HUGE" else a for a in argv])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(
+            cli.run, [str(f) if a == "HUGE" else a for a in argv])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
@@ -271,12 +267,8 @@ class TestZeros:
         # term values would take 251 MB
         f = tmp_path / "l.txt"
         f.write_text("1 1 0\n1 0 1\n1 0 0\n")
-        tracemalloc.start()
-        try:
-            rc, out = run_json(capsys, ["zeros", str(f), "--q", "1024"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (rc, out), peak = traced_peak(
+            run_json, capsys, ["zeros", str(f), "--q", "1024"])
         assert rc == 0 and out["N_f"] == 1022  # y = x + 1, x != 1
         assert peak < 24 * 2 ** 20, peak
 

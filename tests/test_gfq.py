@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from toric3.gfq import (LaurentPolynomial, common_zero_count, count_zeros,
                         make_field, monomial_substitution, multiply,
                         random_polynomial, width_one_split)
 from toric3.geometry import UnimodularMap
-from conftest import random_affine_map
+from conftest import random_affine_map, traced_peak
 
 
 def ex63_pair(q=7):
@@ -308,12 +307,7 @@ class TestScanOracles:
         f = random_polynomial(P8, make_field(81), seed=3)
         assert len(f.terms) == len(P8.lattice_points) and f.n == 3
         count_zeros(f)
-        tracemalloc.start()
-        try:
-            count_zeros(f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(count_zeros, f)[1]
         assert peak < 16 * 2 ** 20, peak
 
     def test_torus_point_guard(self):

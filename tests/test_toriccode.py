@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_polytope
+from conftest import random_polytope, traced_peak
 from toric3 import toriccode as tc
 from toric3.catalog import named_polytope
 from toric3.geometry import convex_hull
@@ -318,19 +318,32 @@ class TestMinWeight:
         # coordinates hold 4 of them at a time
         code = tc.build_code(convex_hull([(0, 0), (2, 0)]), 257)
         monkeypatch.setattr(tc, "_CHUNK_COORDS", 1 << 18)
-        tracemalloc.start()
-        try:
-            d = tc.min_weight_exhaustive(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        d, peak = traced_peak(tc.min_weight_exhaustive, code)
         assert d == code.n - 2 * 256  # a + b x + c x^2: two roots x
         assert peak < 16 * 2 ** 20, peak
 
-    @pytest.mark.parametrize("name,q", [("P8", 5), ("T1", 4), ("T1", 8)])
+    def test_engines_in_cache_sized_chunks(self):
+        # at the default budget: chunks of 2^23 coordinates held 41 MB
+        # (EX72 at q = 4, exhaustive) and 12 MB (P8 at q = 7, BZ)
+        ex72 = build_quietly(named_polytope("EX72"), 4)
+        d, peak = traced_peak(tc.min_weight_exhaustive, ex72)
+        assert d == 6 and peak < 6 * 2 ** 20, peak
+        p8 = build_quietly(named_polytope("P8"), 7)
+        d, peak = traced_peak(tc.min_weight_bz, p8)
+        assert d == 162 and peak < 6 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("name,q", [("P8", 5), ("T1", 4), ("T1", 8),
+                                        ("T1", 9), ("Q8", 4)])
     def test_engines_unchanged_by_tiny_chunks(self, monkeypatch, name, q):
-        # one message per chunk and one value per slice
+        # one message per chunk and one value per slice; T1 at q = 9
+        # combines base-3 digits across 3^t, Q8 at q = 4 has two 4-row
+        # frames
         code = build_quietly(named_polytope(name), q)
+        dtype = np.min_scalar_type(q - 1)
+        assert tc._WeightEngine(code.field, code.matrix)._minus_g.dtype == \
+            dtype
+        assert all(s.dtype == dtype for *_, s in tc._information_sets(
+            code.field, code.matrix, 3))
         want = tc.min_weight_exhaustive(code)
         assert tc.min_weight_bz(code) == want
         monkeypatch.setattr(tc, "_CHUNK_COORDS", 1)
@@ -534,9 +547,9 @@ class TestTranslates:
     def test_scan_memory_bounded_by_the_chunk(self, monkeypatch):
         # conv{0, 3 e_1} at q = 257: n = 256^2 and k = 4 divides 256, so
         # the translates of the first set tile the torus.  Outside the
-        # eliminations the sets' k x n arrays (2 MB each) and chunks of
-        # 2^10 translates peak at 12 MB; one block of all n translates
-        # reads 17 MB, and one list of them 25 MB
+        # eliminations the set's k x n array (0.5 MB of uint16) and chunks
+        # of 2^10 translates peak at 10 MB; one block of all n translates
+        # adds about 5 MB, and one list of them about 13 MB
         code = tc.build_code(convex_hull([(0, 0), (3, 0)]), 257)
         monkeypatch.setattr(tc, "_CHUNK_COORDS", 1 << 12)
         echelon, peaks = tc._echelon, []
@@ -547,12 +560,9 @@ class TestTranslates:
             tracemalloc.reset_peak()
             return out
         monkeypatch.setattr(tc, "_echelon", echelon_between_scans)
-        tracemalloc.start()
-        try:
-            sets = tc._information_sets(code.field, code.matrix, 2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        sets, peak = traced_peak(tc._information_sets, code.field,
+                                 code.matrix, 2)
+        peaks.append(peak)
         assert [(d, 1 + len(moved)) for _, d, moved, _ in sets] == \
             [(0, code.n // 4)]
         assert max(peaks) < 14 * 2 ** 20, peaks
