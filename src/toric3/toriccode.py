@@ -7,9 +7,11 @@ their coordinate discrete logs (base = the field's canonical generator),
 so generator matrices are reproducible across platforms.
 
 Two minimum-weight engines are provided.  The exhaustive engine sweeps
-one codeword per orbit stratum of the weight-preserving rescalings
-m_a -> lambda t^a m_a, (lambda, t) in (F_q^*)^(m+1), of the messages
-(see ``_sweep_plan``), and is guarded by a coordinate-update budget.
+messages that meet every orbit of the weight-preserving rescalings
+m_a -> lambda t^a m_a, (lambda, t) in (F_q^*)^(m+1): a row takes only
+0 and 1 while the rescalings fixing the rows pinned to 1 before it still
+reach every value on it (see ``_sweep_plan``).  A coordinate-update
+budget guards it.
 The multi-information-set engine (Brouwer-Zimmermann) enumerates
 codewords by information weight over greedily chosen disjoint
 information sets and terminates once the accumulated lower bound meets
@@ -29,14 +31,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb
 
 import numpy as np
 
 from .bounds import (BoundReport, dps_volume_bound, griesmer_max_d, gv_max_d,
                      simplex_bound, width_one_final_bound)
-from .geometry import (_MAX_CELLS, Polytope, _hnf_transform, lattice_width,
-                       mat_mul, mat_transpose, normalized_volume)
+from .geometry import _MAX_CELLS, Polytope, lattice_width, normalized_volume
 from .gfq import make_field
 from .minklen import minkowski_length
 
@@ -198,85 +199,83 @@ def build_code(P, q):
 # ---------------------------------------------------------------------------
 # minimum-weight engines
 
-def _message_batches(q, k, frame, free, chunk):
-    """Messages of length k, in chunks: the ``frame`` coordinates run
-    through the nonzero 0/1 patterns, the ``free`` ones through F_q
-    lexicographically (last one fastest), all others are 0."""
-    total = (2 ** len(frame) - 1) * q ** len(free)
-    for start in range(0, total, chunk):
-        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = np.zeros((rest.size, k), dtype=np.int64)
-        for c in reversed(free):
-            msgs[:, c] = rest % q
-            rest = rest // q
-        rest = rest + 1  # pattern index, 1 .. 2^|frame| - 1
-        for c in reversed(frame):
-            msgs[:, c] = rest & 1
-            rest = rest >> 1
-        yield msgs
-
-
 def _sweep_plan(code):
-    """Levels (frame, free) of the exhaustive sweep, and its cost.
+    """Groups (bases, free rows) of the exhaustive sweep, and its cost.
 
-    A frame is a greedy set of at most m+1 of the rows left on which the
-    rescalings reach every nonzero value pattern; its level sweeps the
-    nonzero 0/1 patterns on it with the free rows, the other rows left,
-    over F_q.  One-row frames give the projective sweep.
-    """
-    q = code.field.q
-    exps = code.row_exponents or ((),) * code.k  # then lambda alone acts
-    width = len(exps[0]) + 1
-    left, levels = list(range(code.k)), []
-    while left:
-        frame = []
-        for r in left:
-            if len(frame) == width:
-                break
-            # rows (1, a): the gcd of their maximal minors, the diagonal
-            # product of the Hermite form of the columns, must be a unit
-            # mod q-1 (it is 0 when the rows are dependent)
-            D = mat_transpose([[1] + [x % (q - 1) for x in exps[i]]
-                               for i in frame + [r]])
-            H = mat_mul(_hnf_transform(D), D)
-            if gcd(prod(H[j][j] for j in range(len(frame) + 1)), q - 1) == 1:
-                frame.append(r)
-        left = [r for r in left if r not in frame]
-        levels.append((frame, left))
-    return levels, exhaustive_cost(q, code.k, code.n,
-                                   [len(f) for f, _ in levels])
-
-
-def exhaustive_cost(q, k, n, frames=None):
-    """Coordinate updates of an exhaustive sweep with the given frame
-    sizes per level; the default, k frames of one row, is the projective
-    sweep of (q^k - 1)/(q - 1) messages."""
-    total = 0
-    for f in frames or [1] * k:
-        k -= f
-        total += (2 ** f - 1) * q ** k
-    return total * n
-
-
-def min_weight_exhaustive(code):
-    """Exact minimum weight by a sweep over the rescaling-orbit strata.
-
-    Raises BudgetExceeded when the sweep would perform more than BUDGET
-    coordinate updates.
+    The rows are taken in order with a set P of pinned rows.  Row r is
+    pinnable while |P| <= m and its character (1, a_r) is independent of
+    P's mod every prime dividing q-1: the rescalings that fix P's rows
+    then reach every nonzero value on it, so it takes 0 and 1 only, and
+    1 pins it.  Every other row is free and runs over F_q.  Each node of
+    this pinning tree, walked level by level with the characters reduced
+    mod p by P's, is one 0/1 base message with its free rows; the bases
+    are grouped by their free rows.  The cost counts the messages swept,
+    without the zero message, times n.
     """
     q, k, n = code.field.q, code.k, code.n
-    levels, cost = _sweep_plan(code)
+    exps = np.array(code.row_exponents or [()] * k, np.int64).reshape(k, -1)
+    width = exps.shape[1] + 1  # 1 with no exponents: lambda alone acts
+    floor = exhaustive_cost(q, k, n) // (q - 1) ** (width - 1)
+    if floor > BUDGET:  # the sweep meets every orbit: it costs at least this
+        return [], floor
+    chars = np.hstack([np.ones((k, 1), np.int64), exps])
+    primes = [p for p in range(2, q) if (q - 1) % p == 0
+              and all(p % d for d in range(2, p))]
+    red = [(chars % p)[None] for p in primes]  # (nodes, k, width) per p
+    rows = np.arange(k)
+    ones = free = np.zeros((1, k), bool)
+    last, nodes = np.array([-1]), []
+    for level in range(width + 1):
+        later = rows > last[:, None]
+        pin = later & (level < width) & np.all(
+            [R.any(axis=2) for R in red], axis=0)  # True with no primes
+        free = free | later & ~pin
+        nodes.append((ones, free))
+        node, r = np.nonzero(pin)  # the children pin row r
+        at = np.arange(node.size)
+        ones = ones[node] | (rows == r[:, None])
+        free, last = free[node] & (rows < r[:, None]), r
+        for i, p in enumerate(primes):  # clear r's pivot from every row
+            R = red[i][node]
+            v = R[at, r]
+            piv = (v != 0).argmax(axis=1)
+            red[i] = (R * v[at, piv][:, None, None]
+                      - R[at, :, piv][:, :, None] * v[:, None, :]) % p
+    ones = np.concatenate([o for o, _ in nodes])[1:]  # the root: message 0
+    keys = np.concatenate([f for _, f in nodes])[1:] @ (1 << rows)
+    plan = [(ones[keys == key].astype(np.int64),
+             [r for r in range(k) if key >> r & 1])
+            for key in sorted(set(keys.tolist()))]
+    return plan, n * sum(len(b) * q ** len(f) for b, f in plan)
+
+
+def exhaustive_cost(q, k, n):
+    """Coordinate updates of the projective sweep, (q^k-1)/(q-1) messages."""
+    return (q ** k - 1) // (q - 1) * n
+
+
+def min_weight_exhaustive(code, plan=None):
+    """Exact minimum weight by a sweep of ``_sweep_plan(code)`` (or of
+    ``plan``); BudgetExceeded if it needs more than BUDGET updates."""
+    q, n = code.field.q, code.n
+    groups, cost = plan or _sweep_plan(code)
     if cost > BUDGET:
         raise BudgetExceeded(
-            f"exhaustive sweep needs {cost:.2e} coordinate updates "
-            f"(budget {BUDGET:.0e}); use BZ (min_weight_bz)")
+            f"exhaustive sweep needs at least {cost:.2e} coordinate updates"
+            f" (budget {BUDGET:.0e}); use BZ (min_weight_bz)")
     engine = _WeightEngine(code.field, code.matrix)
     best = n
-    for frame, free in levels:
+    for bases, free in groups:
         # the last free row runs fastest: it is the trailing coordinate
         c, values = (free[-1], range(q)) if free else (0, range(1))
+        inner = q ** len(free[:-1])  # digit patterns of the other free rows
+        total = len(bases) * inner
         rows = max(1, _CHUNK_COORDS // (len(values) * n))
-        for msgs in _message_batches(q, k, frame, free[:-1], rows):
+        for start in range(0, total, rows):
+            idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+            msgs = bases[idx // inner]
+            for r in reversed(free[:-1]):
+                msgs[:, r], idx = idx % q, idx // q
             w = n - int(engine.count(engine.codes(msgs), c, values).max())
             best = min(best, w)
     return best
@@ -381,14 +380,13 @@ def min_weight_bz(code):
 
 
 def min_weight(code, engine="auto"):
-    if engine == "exhaustive":
-        return min_weight_exhaustive(code)
     if engine == "bz":
         return min_weight_bz(code)
-    if engine != "auto":
+    if engine not in ("auto", "exhaustive"):
         raise ValueError("engine must be auto, exhaustive, or bz")
-    if _sweep_plan(code)[1] <= BUDGET:
-        return min_weight_exhaustive(code)
+    plan = _sweep_plan(code)
+    if engine == "exhaustive" or plan[1] <= BUDGET:
+        return min_weight_exhaustive(code, plan)
     return min_weight_bz(code)
 
 

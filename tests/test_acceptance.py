@@ -167,6 +167,21 @@ def test_criterion_08_long_width_one_maxima():
             assert tc.max_zero_count(P, q, engine="bz") == expected, q
 
 
+def test_criterion_08_width_one_exhaustive():
+    # the long tier's BZ value at q = 7, from the orbit sweep
+    with criterion(8, "width-one example maximum at q = 7 (exhaustive)"):
+        P = named_polytope("EX72")
+        assert tc.max_zero_count(P, 7, engine="exhaustive") == 90
+
+
+@pytest.mark.long
+def test_criterion_08_long_width_one_exhaustive():
+    with criterion(8, "width-one example maxima at q = 8, 9 (exhaustive)"):
+        P = named_polytope("EX72")
+        for q, expected in ((8, 112), (9, 160)):
+            assert tc.max_zero_count(P, q, engine="exhaustive") == expected, q
+
+
 def test_criterion_09_code_table_fast():
     with criterion(9, "code parameter table, small fields"):
         P = named_polytope("P8")

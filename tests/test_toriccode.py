@@ -121,7 +121,7 @@ def orbit_oracle_codes(rng):
             while True:
                 code = build_quietly(oracle_polytope(rng, kind, q), q)
                 plain = dataclasses.replace(code, row_exponents=())
-                if tc._sweep_plan(plain)[1] <= 3 * 10 ** 7:
+                if tc.exhaustive_cost(q, plain.k, plain.n) <= 3 * 10 ** 7:
                     break
             yield q, kind, code, plain
 
@@ -133,28 +133,104 @@ def laplace_det(M):
                for j, x in enumerate(M[0]))
 
 
-def minor_gcd_levels(code):
-    """``_sweep_plan``'s levels, with a frame accepted when the gcd of
-    the maximal minors of its rows (1, a mod q-1) is a unit mod q-1."""
+def characters(code):
+    """The rows' characters (1, a mod q-1), (1,) with no row exponents."""
     q = code.field.q
-    exps = code.row_exponents or ((),) * code.k
-    width = len(exps[0]) + 1
+    return [[1] + [x % (q - 1) for x in a]
+            for a in code.row_exponents or ((),) * code.k]
+
+
+def unit_minors(q, chars):
+    """Whether the gcd of the maximal minors of ``chars`` is a unit mod
+    q-1, i.e. the rows are independent mod every prime dividing q-1."""
+    g = 0
+    for cols in itertools.combinations(range(len(chars[0])), len(chars)):
+        g = math.gcd(g, laplace_det([[row[c] for c in cols] for row in chars]))
+    return math.gcd(g, q - 1) == 1
+
+
+def pinning_plan(code):
+    """``_sweep_plan``'s groups as {free rows: sorted 0/1 bases}, by a
+    depth-first walk that decides each pin by ``unit_minors``."""
+    q, k, chars, groups = code.field.q, code.k, characters(code), {}
+
+    def walk(r, pinned, free):
+        if r == k:
+            if pinned or free:  # not the zero message
+                groups.setdefault(tuple(free), []).append(
+                    tuple(int(i in pinned) for i in range(k)))
+        elif len(pinned) < len(chars[0]) and \
+                unit_minors(q, [chars[i] for i in pinned + [r]]):
+            walk(r + 1, pinned, free)
+            walk(r + 1, pinned + [r], free)
+        else:
+            walk(r + 1, pinned, free + [r])
+    walk(0, [], [])
+    return {f: sorted(b) for f, b in groups.items()}
+
+
+def planned_messages(code):
+    """Every message of ``_sweep_plan(code)``: each base with its free
+    rows over F_q, as a (count, k) array."""
+    out = []
+    for bases, free in tc._sweep_plan(code)[0]:
+        grid = np.array(list(itertools.product(range(code.field.q),
+                                               repeat=len(free))), np.int64)
+        msgs = np.repeat(bases, len(grid), axis=0)
+        msgs[:, free] = np.tile(grid, (len(bases), 1))
+        out.append(msgs)
+    return np.concatenate(out)
+
+
+def message_batches(q, k, frame, free, chunk):
+    """Messages of length k, in chunks: the ``frame`` coordinates run
+    through the nonzero 0/1 patterns, the ``free`` ones through F_q
+    lexicographically (last one fastest), all others are 0."""
+    total = (2 ** len(frame) - 1) * q ** len(free)
+    for start in range(0, total, chunk):
+        rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        msgs = np.zeros((rest.size, k), dtype=np.int64)
+        for c in reversed(free):
+            msgs[:, c] = rest % q
+            rest = rest // q
+        rest = rest + 1  # pattern index, 1 .. 2^|frame| - 1
+        for c in reversed(frame):
+            msgs[:, c] = rest & 1
+            rest = rest >> 1
+        yield msgs
+
+
+def frame_levels(code):
+    """The frame plan of the sweep before pinning: levels (frame, free),
+    a frame a greedy set of at most m+1 of the rows left with
+    ``unit_minors``, on which the rescalings reach every nonzero value
+    pattern; one-row frames give the projective sweep."""
+    q, chars = code.field.q, characters(code)
     left, levels = list(range(code.k)), []
     while left:
         frame = []
         for r in left:
-            if len(frame) == width:
-                break
-            D = [[1] + [x % (q - 1) for x in exps[i]] for i in frame + [r]]
-            g = 0
-            for cols in itertools.combinations(range(width), len(D)):
-                g = math.gcd(g, laplace_det([[row[c] for c in cols]
-                                             for row in D]))
-            if math.gcd(g, q - 1) == 1:
+            if len(frame) < len(chars[0]) and \
+                    unit_minors(q, [chars[i] for i in frame + [r]]):
                 frame.append(r)
         left = [r for r in left if r not in frame]
         levels.append((frame, left))
     return levels
+
+
+def frame_min_weight(code):
+    """Minimum weight by the frame sweep: per level, the nonzero 0/1
+    patterns on the frame with the free rows over F_q."""
+    q, k, n = code.field.q, code.k, code.n
+    engine = tc._WeightEngine(code.field, code.matrix)
+    best = n
+    for frame, free in frame_levels(code):
+        c, values = (free[-1], range(q)) if free else (0, range(1))
+        rows = max(1, tc._CHUNK_COORDS // (len(values) * n))
+        for msgs in message_batches(q, k, frame, free[:-1], rows):
+            zeros = engine.count(engine.codes(msgs), c, values).max()
+            best = min(best, n - int(zeros))
+    return best
 
 
 class TestWeightEngine:
@@ -313,8 +389,8 @@ class TestMinWeight:
         assert tc.min_weight_bz(code) == 36
 
     def test_sweep_memory_bounded_by_the_chunk(self, monkeypatch):
-        # conv{0, 2 e_1} at q = 257: n = 256^2, and the level of the last
-        # row compares q values of it, q n ~ 2^24 codes; chunks of 2^18
+        # conv{0, 2 e_1} at q = 257: n = 256^2, and the trailing row
+        # compares q values of it, q n ~ 2^24 codes; chunks of 2^18
         # coordinates hold 4 of them at a time
         code = tc.build_code(convex_hull([(0, 0), (2, 0)]), 257)
         monkeypatch.setattr(tc, "_CHUNK_COORDS", 1 << 18)
@@ -324,10 +400,15 @@ class TestMinWeight:
 
     def test_engines_in_cache_sized_chunks(self):
         # at the default budget: chunks of 2^23 coordinates held 41 MB
-        # (EX72 at q = 4, exhaustive) and 12 MB (P8 at q = 7, BZ)
-        ex72 = build_quietly(named_polytope("EX72"), 4)
-        d, peak = traced_peak(tc.min_weight_exhaustive, ex72)
-        assert d == 6 and peak < 6 * 2 ** 20, peak
+        # (EX72 at q = 4, exhaustive) and 12 MB (P8 at q = 7, BZ).  The
+        # sweep of EX72 has up to 7 free rows, whose digits would fill a
+        # 10 MB table of 7^6 messages at q = 7; P8 at q = 13 has n = 1728
+        for name, q, d, free in (("EX72", 4, 6, 7), ("EX72", 7, 216 - 90, 7),
+                                 ("P8", 13, 1535, 4)):
+            code = build_quietly(named_polytope(name), q)
+            assert max(len(f) for _, f in tc._sweep_plan(code)[0]) == free
+            got, peak = traced_peak(tc.min_weight_exhaustive, code)
+            assert got == d and peak < 6 * 2 ** 20, (name, q, peak)
         p8 = build_quietly(named_polytope("P8"), 7)
         d, peak = traced_peak(tc.min_weight_bz, p8)
         assert d == 162 and peak < 6 * 2 ** 20, peak
@@ -336,8 +417,7 @@ class TestMinWeight:
                                         ("T1", 9), ("Q8", 4)])
     def test_engines_unchanged_by_tiny_chunks(self, monkeypatch, name, q):
         # one message per chunk and one value per slice; T1 at q = 9
-        # combines base-3 digits across 3^t, Q8 at q = 4 has two 4-row
-        # frames
+        # combines base-3 digits across 3^t, Q8 at q = 4 pins up to 4 rows
         code = build_quietly(named_polytope(name), q)
         dtype = np.min_scalar_type(q - 1)
         assert tc._WeightEngine(code.field, code.matrix)._minus_g.dtype == \
@@ -358,14 +438,19 @@ class TestMinWeight:
                 assert tc.min_weight_exhaustive(code) == tc.min_weight_bz(code)
 
     def test_orbit_reduction_matches_projective_sweep(self, rng):
-        # row exponents stripped: one-row frames, the projective sweep
+        # row exponents stripped: one pinned row, the projective sweep;
+        # both match the frame sweep that the pinning replaced
         reduced = 0
         for q, kind, code, plain in orbit_oracle_codes(rng):
             assert len(code.row_exponents) == code.k
             assert code.injective == (kind != "wide")
-            assert tc.min_weight_exhaustive(code) == \
-                tc.min_weight_exhaustive(plain), (q, kind, code.exponents)
-            reduced += len(tc._sweep_plan(code)[0]) < code.k
+            d = tc.min_weight_exhaustive(code)
+            for c in (code, plain):
+                assert tc.min_weight_exhaustive(c) == frame_min_weight(c) \
+                    == d, (q, kind, code.exponents)
+            projective = tc.exhaustive_cost(q, code.k, code.n)
+            assert tc._sweep_plan(plain)[1] == projective
+            reduced += tc._sweep_plan(code)[1] < projective
         assert reduced >= 20
 
     def test_translates_match_multi_set_bz(self, rng):
@@ -380,33 +465,84 @@ class TestMinWeight:
             assert tc.min_weight_bz(code) == tc.min_weight_bz(plain) == \
                 tc.min_weight_exhaustive(code) == d, (name, q)
 
-    def test_sweep_frames_match_minor_gcd(self, rng):
-        for q, kind, code, plain in orbit_oracle_codes(rng):
-            for c in (code, plain):
-                assert tc._sweep_plan(c)[0] == minor_gcd_levels(c), \
-                    (q, kind, c.row_exponents)
-
-    def test_cost_of_frame_sizes(self):
-        for q, k, n in ((2, 5, 1), (5, 8, 64), (9, 11, 512)):
-            assert tc.exhaustive_cost(q, k, n) == (q ** k - 1) // (q - 1) * n
-        assert tc.exhaustive_cost(7, 8, 216, [4, 4]) == (15 * 7 ** 4 + 15) * 216
-        with pytest.warns(UserWarning):
-            code = tc.build_code(named_polytope("P8"), 7)
-        levels, cost = tc._sweep_plan(code)
-        assert [len(f) for f, _ in levels] == [4, 4]
-        assert cost == tc.exhaustive_cost(7, 8, 216, [4, 4])
-
     def test_budget_guard(self):
         P = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
         code = tc.build_code(P, 7)  # k = 20: sweep is out of budget
         assert tc.exhaustive_cost(7, code.k, code.n) > tc.BUDGET
         with pytest.raises(tc.BudgetExceeded, match="BZ"):
             tc.min_weight_exhaustive(code)
+        ex72 = tc.build_code(named_polytope("EX72"), 11)  # 2.9e10 updates
+        with pytest.raises(tc.BudgetExceeded, match="BZ"):
+            tc.min_weight(ex72, engine="exhaustive")
 
-    def test_auto_engine_dispatch(self):
+    def test_auto_engine_dispatch(self, monkeypatch):
         with pytest.warns(UserWarning):
             code = tc.build_code(named_polytope("P8"), 5)
+        plan, plans = tc._sweep_plan, []
+
+        def counted_plan(c):
+            plans.append(c)
+            return plan(c)
+        monkeypatch.setattr(tc, "_sweep_plan", counted_plan)
         assert tc.min_weight(code) == 36
+        assert plans == [code]  # the sweep reuses auto's plan
+
+
+def segment(lo, hi):
+    """The lattice segment [lo, hi] in Z^1, as ``build_code`` reads it."""
+    return SimpleNamespace(lattice_points=[(x,) for x in range(lo, hi + 1)],
+                           ambient=1)
+
+
+def tiny_codes(rng):
+    """Codes with k <= 5 on tori of dimension m in {1, 2, 3} at q in
+    {4, 5, 7}: segments in Z and random polytopes in Z^2 and Z^3.  At
+    q = 7, [0, 3] has (1, 0), (1, 2) independent mod 3 but not mod 2,
+    and (1, 0), (1, 3) the other way round."""
+    for q in (4, 5, 7):
+        yield from (build_quietly(segment(lo, lo + 3), q) for lo in (0, -1))
+        for m in (2, 3):
+            for _ in range(4):
+                while True:
+                    P = random_polytope(rng, count=int(rng.integers(2, 5)),
+                                        box=3, ambient=m)
+                    if P.n_points <= 5:
+                        break
+                yield build_quietly(P, q)
+
+
+class TestSweepPlan:
+    def test_orbits_meet_the_plan(self, rng):
+        # every nonzero message has a rescaling (lambda, t) in the plan,
+        # and the plan sweeps each of its messages once
+        for code in tiny_codes(rng):
+            F, q, k = code.field, code.field.q, code.k
+            chars = np.array(characters(code))
+            logs = np.indices((q - 1,) * chars.shape[1]).reshape(
+                chars.shape[1], -1)  # (lambda, t) in log coordinates
+            scale = F.exp[(chars @ logs) % (q - 1)].T  # per group element
+            msgs = planned_messages(code)
+            images = F.mul(msgs[:, None, :], scale[None]).reshape(-1, k)
+            assert np.array_equal(np.unique(images @ q ** np.arange(k)),
+                                  np.arange(1, q ** k)), code.row_exponents
+            assert len(np.unique(msgs @ q ** np.arange(k))) == len(msgs) \
+                == tc._sweep_plan(code)[1] // code.n
+
+    def test_pinning_matches_minor_gcd(self, rng):
+        for q, kind, code, plain in orbit_oracle_codes(rng):
+            for c in (code, plain):
+                plan = {tuple(f): sorted(map(tuple, b.tolist()))
+                        for b, f in tc._sweep_plan(c)[0]}
+                assert plan == pinning_plan(c), (q, kind, c.row_exponents)
+
+    def test_message_counts(self):
+        for q, k, n in ((2, 5, 1), (5, 8, 64), (9, 11, 512)):
+            assert tc.exhaustive_cost(q, k, n) == (q ** k - 1) // (q - 1) * n
+        for name, q, count in (("P8", 7, 4_770), ("P8", 5, 1_644),
+                               ("EX72", 4, 52_587), ("EX72", 8, 3_583_399),
+                               ("T1", 8, 43)):
+            code = build_quietly(named_polytope(name), q)
+            assert tc._sweep_plan(code)[1] == count * code.n, (name, q)
 
 
 def greedy_rows(F, rows):
@@ -573,7 +709,7 @@ def old_bz_messages(q, k, w, chunk):
     first nonzero entry 1, the others nonzero, lexicographically."""
     out = []
     for supp in itertools.combinations(range(k), w):
-        for b in tc._message_batches(q, w, [0], range(1, w), chunk):
+        for b in message_batches(q, w, [0], range(1, w), chunk):
             live = b[np.all(b != 0, axis=1)]
             msgs = np.zeros((len(live), k), dtype=np.int64)
             msgs[:, list(supp)] = live
@@ -602,7 +738,7 @@ class TestBzRows:
         # on a full support (k = w) BZ's rows are those of the sweep with
         # first entry 1 and the others nonzero, in the same order
         for w in range(1, 5):
-            want = [tuple(r) for b in tc._message_batches(
+            want = [tuple(r) for b in message_batches(
                 q, w, [0], range(1, w), 1 << 20)
                 for r in b[np.all(b != 0, axis=1)].tolist()]
             for rows in (1, 5, 64, 1 << 20):
