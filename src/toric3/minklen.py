@@ -304,19 +304,11 @@ def find_triangles(P, search=None):
     return _find_summands(P, 3, search)
 
 
-def add_triangle_huh(P):
-    return bool(find_triangles(P))
-
-
 def find_tetra(P, search=None):
     """All 4-lattice-point polytopes T (tetrahedra, possibly degenerate)
     built from find_segments directions with L(T) = 1 and L(P + T) = 2,
     deduplicated up to translation."""
     return _find_summands(P, 4, search)
-
-
-def add_tetra_huh(P):
-    return bool(find_tetra(P))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Toric evaluation codes: generator matrices, exact [n, k, d], N_P.
 
-A code is built by evaluating every monomial x^a, a a lattice point of P,
-at all (q-1)^m points of the algebraic torus (F_q^*)^m.  The evaluation
-order is fixed: torus points are enumerated in lexicographic order of
-their coordinate discrete logs (base = the field's canonical generator),
-so generator matrices are reproducible across platforms.
+A code is built by evaluating the monomials x^a, a a lattice point of P,
+at all (q-1)^m points of the algebraic torus (F_q^*)^m, one monomial per
+class of a mod q-1.  Distinct classes are distinct torus characters,
+independent by Dedekind-Artin, so the rank needs no elimination; only a
+generator built by hand gets one.  The evaluation order is fixed: torus
+points are enumerated in lexicographic order of their coordinate
+discrete logs (base = the field's canonical generator), so generator
+matrices are reproducible across platforms.
 
 Two minimum-weight engines are provided.  The exhaustive engine sweeps
 messages that meet every orbit of the weight-preserving rescalings
@@ -137,20 +140,26 @@ class _WeightEngine:
 
 @dataclass(frozen=True)
 class ToricCode:
+    """A full-rank k x n generator.  Rows with ``row_exponents`` distinct
+    mod q - 1 are distinct torus characters, independent (Dedekind-Artin);
+    a generator built without them is checked by elimination."""
     field: object
     polytope: Polytope
     exponents: tuple       # all lattice points of P, sorted
     matrix: np.ndarray     # k x n full-rank generator (element codes)
-    n: int
-    k: int
-    injective: bool
     row_exponents: tuple = ()  # lattice point of each row; () if unknown
+    k = property(lambda self: self.matrix.shape[0])
+    n = property(lambda self: self.matrix.shape[1])
 
     def __post_init__(self):
-        rank = len(_echelon(self.field, self.matrix)[0])
-        if self.matrix.shape != (self.k, self.n) or rank < self.k:
+        rows, q = self.row_exponents, self.field.q
+        if rows and len(rows) != self.k:
+            raise ValueError(f"{len(rows)} row exponents for {self.k} rows")
+        rank = (len({tuple(x % (q - 1) for x in a) for a in rows}) if rows
+                else len(_echelon(self.field, self.matrix)[0]))
+        if rank < self.k:
             raise ValueError(f"generator {self.matrix.shape} of rank {rank}"
-                             f" is not a full-rank {self.k} x {self.n} matrix")
+                             " is not of full rank")
 
 
 @dataclass(frozen=True)
@@ -182,17 +191,13 @@ def build_code(P, q):
     if len(pts) * (q - 1) ** m > _MAX_CELLS:
         raise ValueError(f"evaluation matrix too large: {len(pts)} points x "
                          f"{(q - 1) ** m} torus points > 2^26")
-    grid = np.indices((q - 1,) * m).reshape(m, -1)  # (m, n) discrete logs
-    logs = (reduced @ grid) % (q - 1)               # (|P|, n)
-    evals = field.exp[logs]
-    # monomials with distinct exponents mod q - 1 are distinct characters
-    # of the torus, hence linearly independent (Dedekind-Artin): the first
-    # lattice point of each class is a row basis
+    # the first lattice point of each class mod q - 1: a row basis
     basis = np.sort(np.unique(reduced, axis=0, return_index=True)[1])
-    gen = evals[basis]
+    grid = np.indices((q - 1,) * m).reshape(m, -1)  # (m, n) discrete logs
+    logs = reduced[basis] @ grid                    # (k, n)
+    logs %= q - 1
     return ToricCode(field=field, polytope=P, exponents=tuple(pts),
-                     matrix=gen, n=grid.shape[1], k=len(basis),
-                     injective=len(basis) == len(pts),
+                     matrix=field._exp0[logs],
                      row_exponents=tuple(pts[i] for i in basis))
 
 

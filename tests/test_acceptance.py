@@ -338,7 +338,7 @@ def _prop_engines_agree(rng):
         if len(basis) < k:
             continue
         code = tc.ToricCode(field=F, polytope=None, exponents=(),
-                            matrix=G[basis], n=n, k=k, injective=True)
+                            matrix=G[basis])
         assert tc.min_weight_exhaustive(code) == tc.min_weight_bz(code)
         done += 1
 

@@ -8,11 +8,11 @@ from toric3.geometry import (UnimodularMap, canonical_sign, convex_hull,
                              equivalent, erode, is_primitive, lattice_points,
                              minkowski_sum, vadd, vneg, vsub)
 from toric3.minklen import (_ChainSearch, _directions, _pack, _vector,
-                            add_tetra_huh, add_triangle_huh, classify_pair,
-                            classify_triple, find_segments, find_tetra,
-                            find_triangles, good_polytope, has_length_at_most,
-                            is_dps, maximal_segment_decompositions,
-                            minkowski_length, three_segments_width_scan)
+                            classify_pair, classify_triple, find_segments,
+                            find_tetra, find_triangles, good_polytope,
+                            has_length_at_most, is_dps,
+                            maximal_segment_decompositions, minkowski_length,
+                            three_segments_width_scan)
 
 UNIT_TRIANGLE = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
@@ -145,8 +145,8 @@ class TestTriangleTetraSearch:
         assert find_triangles(named_polytope("T2")) == []
 
     def test_add_triangle_predicate(self):
-        assert add_triangle_huh(named_polytope("T1"))
-        assert not add_triangle_huh(named_polytope("T2"))
+        assert bool(find_triangles(named_polytope("T1")))
+        assert not bool(find_triangles(named_polytope("T2")))
 
     def test_tetra_of_E(self):
         tets = find_tetra(named_polytope("E"))
@@ -159,7 +159,7 @@ class TestTriangleTetraSearch:
         assert sorted(tets[0].vertices) == sorted(named_polytope("S").vertices)
 
     def test_add_tetra_predicate(self):
-        assert add_tetra_huh(named_polytope("K2"))
+        assert bool(find_tetra(named_polytope("K2")))
 
 
 def combination_summands(P, segs, k, cs):

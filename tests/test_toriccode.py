@@ -21,7 +21,7 @@ def random_code(rng, field, k, n):
         basis = tc._echelon(field, G.T)[0]
         if len(basis) == k:
             return tc.ToricCode(field=field, polytope=None, exponents=(),
-                                matrix=G[basis], n=n, k=k, injective=True)
+                                matrix=G[basis])
 
 
 class TestGfLinearAlgebra:
@@ -313,7 +313,7 @@ class TestBuildCode:
     def test_p8_params(self):
         with pytest.warns(UserWarning):
             code = tc.build_code(named_polytope("P8"), 5)
-        assert (code.n, code.k, code.injective) == (64, 8, True)
+        assert (code.n, code.k, len(code.exponents)) == (64, 8, 8)
 
     def test_q8_params(self):
         with pytest.warns(UserWarning):
@@ -331,7 +331,6 @@ class TestBuildCode:
         seg = convex_hull([(0, 0, 0), (q - 1, 0, 0)])
         with pytest.warns(UserWarning):
             code = tc.build_code(seg, q)
-        assert not code.injective
         assert code.k == q - 1 < len(code.exponents)
 
     def test_rank_deficient_generator_refused(self):
@@ -339,13 +338,28 @@ class TestBuildCode:
         # information set and the exhaustive sweep finds weight 0
         F = make_field(5)
         G = np.array([[1, 2, 3, 4, 0, 1], [2, 4, 1, 3, 0, 2]])
-        with pytest.raises(ValueError, match="rank 1"):
-            tc.ToricCode(field=F, polytope=None, exponents=(), matrix=G,
-                         n=6, k=2, injective=True)
-        with pytest.raises(ValueError, match=r"\(1, 6\) of rank 1 is not"
-                                             r" a full-rank 1 x 5"):
-            tc.ToricCode(field=F, polytope=None, exponents=(),
-                         matrix=G[:1], n=5, k=1, injective=True)
+        with pytest.raises(ValueError, match=r"\(2, 6\) of rank 1 is not"):
+            tc.ToricCode(field=F, polytope=None, exponents=(), matrix=G)
+
+    def test_row_exponents_refused(self):
+        # given row exponents stand in for the elimination: two rows
+        # congruent mod q - 1 are one character, and there is one per row
+        code = tc.build_code(named_polytope("S1"), 5)
+        rows = code.row_exponents
+        with pytest.raises(ValueError, match=r"\(4, 64\) of rank 3 is not"):
+            dataclasses.replace(code, row_exponents=rows[:3] + ((4, 0, 0),))
+        with pytest.raises(ValueError, match="3 row exponents for 4 rows"):
+            dataclasses.replace(code, row_exponents=rows[:3])
+        assert dataclasses.replace(code, row_exponents=rows[:3] + ((5, 0, 0),)
+                                   ).k == 4
+
+    def test_build_memory_is_the_generator(self):
+        # S1 at q = 64: k = 4 rows of n = 63^3 one-byte codes; the bound
+        # holds the int64 discrete logs of those rows, not an elimination
+        code, peak = traced_peak(tc.build_code, named_polytope("S1"), 64)
+        assert (code.k, code.n) == (4, 250_047)
+        assert code.matrix.itemsize == 1
+        assert peak < 24 * 2 ** 20, peak
 
     def test_rows_are_monomial_evaluations(self):
         F = make_field(5)
@@ -371,8 +385,9 @@ class TestBuildCode:
             assert code.row_exponents == tuple(pts[j] for j in basis)
             assert np.array_equal(code.matrix, evals[basis])
             assert code.k == len(basis)
-            assert code.injective == (len(basis) == len(pts))
-            kinds.add(code.injective)
+            assert len(tc._echelon(F, code.matrix)[0]) == code.k
+            assert code.matrix.dtype == np.min_scalar_type(q - 1)
+            kinds.add(code.k == len(code.exponents))
         assert kinds == {True, False}
 
 
@@ -443,7 +458,7 @@ class TestMinWeight:
         reduced = 0
         for q, kind, code, plain in orbit_oracle_codes(rng):
             assert len(code.row_exponents) == code.k
-            assert code.injective == (kind != "wide")
+            assert (code.k == len(code.exponents)) == (kind != "wide")
             d = tc.min_weight_exhaustive(code)
             for c in (code, plain):
                 assert tc.min_weight_exhaustive(c) == frame_min_weight(c) \
