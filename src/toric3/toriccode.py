@@ -15,12 +15,12 @@ m_a -> lambda t^a m_a, (lambda, t) in (F_q^*)^(m+1): a row takes only
 0 and 1 while the rescalings fixing the rows pinned to 1 before it still
 reach every value on it (see ``_sweep_plan``).  A coordinate-update
 budget guards it.
-The multi-information-set engine (Brouwer-Zimmermann) enumerates
-codewords by information weight over greedily chosen disjoint
-information sets and terminates once the accumulated lower bound meets
-the best weight found.  A torus translation x -> t x permutes the
-coordinates and maps the code onto itself, so each set also counts its
-disjoint translates in the bound without enumerating them.
+The Brouwer-Zimmermann engine enumerates codewords by information weight
+and stops once a lower bound on every unseen codeword meets the best
+weight found.  A torus translation x -> t x acts regularly on the
+coordinates and maps a toric code onto itself, so one information set
+bounds every unseen codeword by ceil(n (w+1) / k) after weight w; a
+generator built by hand is enumerated on greedy disjoint sets.
 
 Both engines enumerate messages whose last coordinate c runs fastest.
 The codeword of each prefix (c set to 0) is computed once, exactly, by
@@ -155,6 +155,9 @@ class ToricCode:
         rows, q = self.row_exponents, self.field.q
         if rows and len(rows) != self.k:
             raise ValueError(f"{len(rows)} row exponents for {self.k} rows")
+        if rows and self.n != (q - 1) ** len(rows[0]):  # the regular action
+            raise ValueError(f"{self.n} columns are not the torus "
+                             f"(F_{q}^*)^{len(rows[0])}")
         rank = (len({tuple(x % (q - 1) for x in a) for a in rows}) if rows
                 else len(_echelon(self.field, self.matrix)[0]))
         if rank < self.k:
@@ -193,11 +196,12 @@ def build_code(P, q):
                          f"{(q - 1) ** m} torus points > 2^26")
     # the first lattice point of each class mod q - 1: a row basis
     basis = np.sort(np.unique(reduced, axis=0, return_index=True)[1])
-    grid = np.indices((q - 1,) * m).reshape(m, -1)  # (m, n) discrete logs
-    logs = reduced[basis] @ grid                    # (k, n)
+    logs = np.zeros((len(basis),) + (q - 1,) * m, np.int64)  # (k, torus)
+    for a, g in zip(reduced[basis].T, np.indices(logs.shape[1:], sparse=True)):
+        logs += np.multiply.outer(a, g)  # one discrete-log axis at a time
     logs %= q - 1
     return ToricCode(field=field, polytope=P, exponents=tuple(pts),
-                     matrix=field._exp0[logs],
+                     matrix=field._exp0[logs.reshape(len(basis), -1)],
                      row_exponents=tuple(pts[i] for i in basis))
 
 
@@ -286,44 +290,28 @@ def min_weight_exhaustive(code, plan=None):
     return best
 
 
-def _information_sets(field, gen, m=0):
-    """Greedy disjoint information sets with deficiencies and translates.
+def _information_sets(field, gen):
+    """Greedy disjoint information sets with deficiencies, one at a time.
 
-    Returns a list of (columns, deficiency, translates, systematic): each
-    set has k columns I whose submatrix is invertible, and ``systematic``
-    is inv(G_I) G; ``deficiency`` counts columns borrowed from earlier
-    sets once fresh columns run out of rank.  A set is the pivot columns
-    of one elimination on the unused columns followed by the used ones.
-    If the columns are the torus (F_q^*)^m in log order, m > 0, the rows
-    of ``translates`` are the sets t I, t in log order, that share no
-    column with I, an earlier translate or an earlier set.
+    Yields (columns, deficiency, systematic): each set has k columns I
+    whose submatrix is invertible, and ``systematic`` is inv(G_I) G;
+    ``deficiency`` counts columns borrowed from earlier sets once fresh
+    columns run out of rank.  A set is the pivot columns of one
+    elimination on the unused columns followed by the used ones.
     """
     k, n = gen.shape
-    shape, step = (field.q - 1,) * m, max(1, _CHUNK_COORDS // k)
     used = np.zeros(n, dtype=bool)
-    sets = []
     while True:
         order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
         pivots, R = _echelon(field, gen[:, order])
         cols = order[pivots]
         fresh = cols[~used[cols]]
         if fresh.size == 0 or cols.size < k:
-            break
+            return
         systematic = np.empty(R.shape, np.min_scalar_type(field.q - 1))
         systematic[:, order] = R
-        used[cols], moved = True, []
-        for lo in range(1, n if m else 1, step):  # translates, in chunks
-            t = np.unravel_index(np.arange(lo, min(lo + step, n)), shape)
-            block = np.ravel_multi_index(
-                [(g + s[:, None]) % (field.q - 1)
-                 for g, s in zip(np.unravel_index(cols, shape), t)], shape)
-            for row in block[~used[block].any(axis=1)]:
-                if not used[row].any():
-                    used[row] = True
-                    moved.extend(row.tolist())
-        sets.append((tuple(int(c) for c in cols), k - fresh.size,
-                     np.array(moved, np.int64).reshape(-1, k), systematic))
-    return sets
+        used[cols] = True
+        yield tuple(int(c) for c in cols), k - fresh.size, systematic
 
 
 def _bz_batches(q, k, w, rows):
@@ -349,36 +337,41 @@ def _bz_batches(q, k, w, rows):
 def min_weight_bz(code):
     """Exact minimum weight via enumeration by information weight.
 
-    For each disjoint information set, codewords are generated from
-    weight-w information vectors (first nonzero entry 1, ``_bz_batches``)
-    against the systematized generator.  A codeword c of weight <= w on
-    a torus translate t I of a set I gives c o t, of the same weight and
-    of weight <= w on I, so enumerating I covers its copies: itself and
-    its translates.  After weight w on all sets, every unseen codeword has
-    weight at least sum_i max(0, w+1 - deficiency_i) + (copies_i - 1)(w+1),
-    which stops the sweep once it reaches the best weight.
+    For each information set, codewords are generated from weight-w
+    information vectors (first nonzero entry 1, ``_bz_batches``) against
+    the systematized generator.  A code with row exponents takes one set
+    I: a translation t of the torus maps each codeword c to c o t, of the
+    same weight, with (c o t)|I = c|tI, and the n translates cover every
+    coordinate k times.  So a codeword none of whose translates was seen,
+    of weight > w on every tI, has k wt(c) >= n (w+1).  A generator built
+    by hand takes greedy disjoint sets instead: after weight w on the
+    first sets, every unseen codeword has weight at least
+    sum_i max(0, w+1 - deficiency_i) over those sets plus
+    sum_i max(0, w - deficiency_i) over the rest.  The sweep stops once
+    this bound reaches the best weight.
     """
     field, gen = code.field, code.matrix
     q, k, n = field.q, code.k, code.n
     if k > 24:
         raise ValueError("BZ engine is configured for k <= 24")
-    m = len((code.row_exponents or [()])[0])  # 0: no torus, no translates
-    systems = [(_WeightEngine(field, systematic), d, 1 + len(moved))
-               for _, d, moved, systematic in _information_sets(field, gen, m)]
+    sets = _information_sets(field, gen)
+    if code.row_exponents:  # the torus acts regularly: one set suffices
+        sets = [next(sets)]
+    systems = [(_WeightEngine(field, systematic), d)
+               for _, d, systematic in sets]
     best = n
     for w in range(1, k + 1):
         values = range(1, q if w > 1 else 2)
         rows = max(1, _CHUNK_COORDS // (len(values) * n))
-        for done, (engine, _, _) in enumerate(systems):
+        for done, (engine, _) in enumerate(systems):
             for prefixes, cuts in _bz_batches(q, k, w, rows):
                 codes = engine.codes(prefixes)
                 for c, end in cuts:
                     zeros = engine.count(codes[:end], c, values).max()
                     best = min(best, n - int(zeros))
-            lower = sum(max(0, w + 1 - d) + (c - 1) * (w + 1)
-                        for _, d, c in systems[:done + 1])
-            lower += sum(max(0, w - d) + (c - 1) * w
-                         for _, d, c in systems[done + 1:])
+            lower = (-(-n * (w + 1) // k) if code.row_exponents else
+                     sum(max(0, w + 1 - d) for _, d in systems[:done + 1])
+                     + sum(max(0, w - d) for _, d in systems[done + 1:]))
             if lower >= best:
                 return best
     return best

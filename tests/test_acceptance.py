@@ -174,6 +174,13 @@ def test_criterion_08_width_one_exhaustive():
         assert tc.max_zero_count(P, 7, engine="exhaustive") == 90
 
 
+def test_criterion_08_width_one_bz():
+    # the same value by BZ on one information set
+    with criterion(8, "width-one example maximum at q = 7 (BZ)"):
+        P = named_polytope("EX72")
+        assert tc.max_zero_count(P, 7, engine="bz") == 90
+
+
 @pytest.mark.long
 def test_criterion_08_long_width_one_exhaustive():
     with criterion(8, "width-one example maxima at q = 8, 9 (exhaustive)"):

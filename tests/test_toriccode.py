@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -353,6 +352,19 @@ class TestBuildCode:
         assert dataclasses.replace(code, row_exponents=rows[:3] + ((5, 0, 0),)
                                    ).k == 4
 
+    def test_torus_size_refused(self):
+        # row exponents in Z^m promise the columns of the torus (F_q^*)^m,
+        # on which the translations act regularly
+        code = tc.build_code(named_polytope("S1"), 5)
+        with pytest.raises(ValueError, match=r"63 columns are not the torus "
+                           r"\(F_5\^\*\)\^3"):
+            dataclasses.replace(code, matrix=code.matrix[:, :63])
+        with pytest.raises(ValueError, match=r"64 columns .* \(F_5\^\*\)\^2"):
+            dataclasses.replace(code, row_exponents=tuple(
+                a[:2] for a in code.row_exponents))
+        assert dataclasses.replace(code, matrix=code.matrix[:, :63],
+                                   row_exponents=()).n == 63
+
     def test_build_memory_is_the_generator(self):
         # S1 at q = 64: k = 4 rows of n = 63^3 one-byte codes; the bound
         # holds the int64 discrete logs of those rows, not an elimination
@@ -360,6 +372,11 @@ class TestBuildCode:
         assert (code.k, code.n) == (4, 250_047)
         assert code.matrix.itemsize == 1
         assert peak < 24 * 2 ** 20, peak
+        # one lattice point at q = 101: the int64 logs of its row and its
+        # codes, 9 bytes per entry, and no (m, n) grid of discrete logs
+        code, peak = traced_peak(tc.build_code, convex_hull([(1, 2, 3)]), 101)
+        assert (code.k, code.n) == (1, 100 ** 3)
+        assert peak < 10 * code.n, peak / code.n
 
     def test_rows_are_monomial_evaluations(self):
         F = make_field(5)
@@ -428,6 +445,41 @@ class TestMinWeight:
         d, peak = traced_peak(tc.min_weight_bz, p8)
         assert d == 162 and peak < 6 * 2 ** 20, peak
 
+    @pytest.mark.parametrize("name,q,d,stop", [
+        ("T1", 8, 280, 4), ("EX72", 5, 24, 3), ("EX72", 4, 6, 2),
+        ("P8", 7, 162, 5)])
+    def test_bz_stops_at_the_averaging_bound(self, monkeypatch, name, q, d,
+                                             stop):
+        # one engine on one information set, swept to the least weight w
+        # with ceil(n (w+1) / k) >= d
+        code = build_quietly(named_polytope(name), q)
+        levels, engines = [], []
+        batches, engine = tc._bz_batches, tc._WeightEngine
+
+        def counted_batches(q, k, w, rows):
+            levels.append(w)
+            return batches(q, k, w, rows)
+
+        def counted_engine(field, gen):
+            engines.append(gen.shape)
+            return engine(field, gen)
+        monkeypatch.setattr(tc, "_bz_batches", counted_batches)
+        monkeypatch.setattr(tc, "_WeightEngine", counted_engine)
+        assert tc.min_weight_bz(code) == d
+        n, k = code.n, code.k
+        assert stop == min(w for w in range(1, k + 1)
+                           if -(-n * (w + 1) // k) >= d)
+        assert (max(levels), engines) == (stop, [(k, n)])
+
+    def test_bz_memory_is_one_set(self):
+        # conv{0, 2 e_1} at q = 257: n = 256^2 and k = 3.  BZ holds one
+        # set's systematic generator and its chunks, not one generator for
+        # each of the 256 greedy sets
+        code = tc.build_code(convex_hull([(0, 0), (2, 0)]), 257)
+        d, peak = traced_peak(tc.min_weight_bz, code)
+        assert d == code.n - 2 * 256  # a + b x + c x^2: two roots x
+        assert peak < 24 * 2 ** 20, peak
+
     @pytest.mark.parametrize("name,q", [("P8", 5), ("T1", 4), ("T1", 8),
                                         ("T1", 9), ("Q8", 4)])
     def test_engines_unchanged_by_tiny_chunks(self, monkeypatch, name, q):
@@ -437,8 +489,8 @@ class TestMinWeight:
         dtype = np.min_scalar_type(q - 1)
         assert tc._WeightEngine(code.field, code.matrix)._minus_g.dtype == \
             dtype
-        assert all(s.dtype == dtype for *_, s in tc._information_sets(
-            code.field, code.matrix, 3))
+        assert next(tc._information_sets(code.field, code.matrix))[2].dtype \
+            == dtype
         want = tc.min_weight_exhaustive(code)
         assert tc.min_weight_bz(code) == want
         monkeypatch.setattr(tc, "_CHUNK_COORDS", 1)
@@ -469,7 +521,8 @@ class TestMinWeight:
         assert reduced >= 20
 
     def test_translates_match_multi_set_bz(self, rng):
-        # row exponents stripped: no translates, the plain greedy sets
+        # row exponents stripped: the greedy disjoint sets and their
+        # deficiency bound, against one set and the averaging bound
         for q, kind, code, plain in orbit_oracle_codes(rng):
             assert tc.min_weight_bz(code) == tc.min_weight_bz(plain) == \
                 tc.min_weight_exhaustive(code), (q, kind, code.exponents)
@@ -628,9 +681,9 @@ class TestInformationSets:
     def test_disjoint_and_invertible(self, rng):
         F = make_field(5)
         code = random_code(rng, F, k=4, n=18)
-        sets = tc._information_sets(F, code.matrix)
+        sets = list(tc._information_sets(F, code.matrix))
         fresh_cols = []
-        for cols, delta, _, systematic in sets:
+        for cols, delta, systematic in sets:
             assert len(cols) == 4
             assert len(tc._echelon(F, code.matrix[:, cols])[0]) == 4
             # inv(G_I) G: the identity on I, in the row space of G
@@ -640,83 +693,10 @@ class TestInformationSets:
             fresh_cols.append(set(cols))
         # first set has no deficiency; all-fresh sets are pairwise disjoint
         assert sets[0][1] == 0
-        full = [s for (s, (_, d, _, _)) in zip(fresh_cols, sets) if d == 0]
+        full = [s for (s, (_, d, _)) in zip(fresh_cols, sets) if d == 0]
         for i in range(len(full)):
             for j in range(i + 1, len(full)):
                 assert not (full[i] & full[j])
-
-
-def is_translate(q, m, cols, row):
-    """Whether the columns ``row`` are t ``cols`` for some t on the
-    torus (F_q^*)^m, column j at the log vector of index j in C order."""
-    shape = (q - 1,) * m
-    g = np.array(np.unravel_index(list(cols), shape))
-    h = np.array(np.unravel_index(list(row), shape))
-    return np.array_equal((g - g[:, :1] + h[:, :1]) % (q - 1), h)
-
-
-class TestTranslates:
-    def packed_codes(self, rng):
-        yield from (build_quietly(named_polytope(name), q)
-                    for name, q in (("T1", 8), ("P8", 7)))
-        for i, (_, _, code, _) in enumerate(orbit_oracle_codes(rng)):
-            if i % 3 == 0:
-                yield code
-
-    def test_packed_translates(self, rng):
-        counted = 0
-        for code in self.packed_codes(rng):
-            F, k, n = code.field, code.k, code.n
-            m = len(code.row_exponents[0])
-            sets = tc._information_sets(F, code.matrix, m)
-            earlier = set()  # columns of the earlier sets and translates
-            for cols, _, moved, _ in sets:
-                assert moved.shape == (len(moved), k)
-                taken = set(cols)
-                for row in moved.tolist():
-                    assert is_translate(F.q, m, cols, row), (cols, row)
-                    # an information set, disjoint from I, from the
-                    # translates before it and from the earlier sets
-                    assert len(tc._echelon(F, code.matrix[:, row])[0]) == k
-                    assert not set(row) & (taken | earlier), (cols, row)
-                    taken |= set(row)
-                earlier |= taken
-                counted += len(moved)
-            # copies times k, less the borrowed columns, fit in n (the
-            # copies alone may exceed n / k: T1 at q = 8 counts 70 > 68)
-            assert sum((1 + len(moved)) * k - d
-                       for _, d, moved, _ in sets) <= n
-        assert counted >= 100
-
-    def test_translates_of_t1_and_p8(self):
-        # the first set's copies: 48 of T1 at q = 8, 24 of P8 at q = 7
-        for name, q, copies, count in (("T1", 8, 48, 20), ("P8", 7, 24, 2)):
-            code = build_quietly(named_polytope(name), q)
-            sets = tc._information_sets(code.field, code.matrix, 3)
-            assert (1 + len(sets[0][2]), len(sets)) == (copies, count)
-
-    def test_scan_memory_bounded_by_the_chunk(self, monkeypatch):
-        # conv{0, 3 e_1} at q = 257: n = 256^2 and k = 4 divides 256, so
-        # the translates of the first set tile the torus.  Outside the
-        # eliminations the set's k x n array (0.5 MB of uint16) and chunks
-        # of 2^10 translates peak at 10 MB; one block of all n translates
-        # adds about 5 MB, and one list of them about 13 MB
-        code = tc.build_code(convex_hull([(0, 0), (3, 0)]), 257)
-        monkeypatch.setattr(tc, "_CHUNK_COORDS", 1 << 12)
-        echelon, peaks = tc._echelon, []
-
-        def echelon_between_scans(*args):  # peaks outside the eliminations
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            out = echelon(*args)
-            tracemalloc.reset_peak()
-            return out
-        monkeypatch.setattr(tc, "_echelon", echelon_between_scans)
-        sets, peak = traced_peak(tc._information_sets, code.field,
-                                 code.matrix, 2)
-        peaks.append(peak)
-        assert [(d, 1 + len(moved)) for _, d, moved, _ in sets] == \
-            [(0, code.n // 4)]
-        assert max(peaks) < 14 * 2 ** 20, peaks
 
 
 def old_bz_messages(q, k, w, chunk):
