@@ -922,44 +922,3 @@ def tuple_equivalent(Ps, Qs):
         else:
             return UnimodularMap(M, (0,) * n), tuple(translations)
     return None
-
-
-# ---------------------------------------------------------------------------
-# shape predicates
-
-@dataclass(frozen=True)
-class ShapeInfo:
-    is_empty: bool
-    is_clean: bool
-    interior_count: int
-    boundary_count: int
-    facet_count: int
-
-
-def shape_predicates(P):
-    pts = P.lattice_points
-    verts = set(P.vertices)
-    if P.dim < P.ambient:
-        if P.dim == 0:
-            return ShapeInfo(True, True, 0, 1, 0)
-        if P.dim == 1:
-            return ShapeInfo(len(pts) == 2, len(pts) == 2, len(pts) - 2, 2,
-                             len(P._inner.facets))
-        return shape_predicates(P._inner)
-    facets = P.facets
-    boundary = 0
-    interior = 0
-    nonvert_boundary = 0
-    for p in pts:
-        on = any(vdot(n, p) == b for n, b in facets)
-        if on:
-            boundary += 1
-            if p not in verts:
-                nonvert_boundary += 1
-        else:
-            interior += 1
-    return ShapeInfo(is_empty=(len(pts) == len(verts)),
-                     is_clean=(nonvert_boundary == 0),
-                     interior_count=interior,
-                     boundary_count=boundary,
-                     facet_count=len(facets))

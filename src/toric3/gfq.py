@@ -285,7 +285,8 @@ def _zero_slabs(f):
         raise ValueError("zero polynomial")
     _check_torus(F.q, f.n)
     # a constant is scanned on one axis, where it has no zeros either
-    exps = np.array([a or (0,) for a in f.support], dtype=np.int64) % m
+    exps = np.array([[x % m for x in a or (0,)] for a in f.support],
+                    dtype=np.int64)  # reduced as Python ints: unbounded
     clog, n = F.log[[c for _, c in f.terms]], exps.shape[1]
     bits = 1 if F.p == 2 else (N * (F.p - 1)).bit_length()
     period = N  # terms between reductions mod p, which keep e * bits <= 63
@@ -353,22 +354,3 @@ def random_polynomial(P, field, seed):
         if any(coeffs):
             return LaurentPolynomial.make(
                 field, dict(zip(pts, coeffs)))
-
-
-def width_one_split(f):
-    """Split f = f_0 + z f_1 after translating the support to z in {0,1}.
-
-    Returns the bivariate pieces (f_0, f_1).  Raises if the z-width of the
-    support is not exactly 1 (a z-independent f would give f_1 = 0)."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.n != 3:
-        raise ValueError("width_one_split needs a trivariate polynomial")
-    zs = [a[2] for a, _ in f.terms]
-    lo, hi = min(zs), max(zs)
-    if hi - lo != 1:
-        raise ValueError("support z-width must be exactly 1")
-    f0 = {(a[0], a[1]): c for a, c in f.terms if a[2] == lo}
-    f1 = {(a[0], a[1]): c for a, c in f.terms if a[2] == hi}
-    return (LaurentPolynomial.make(f.field, f0),
-            LaurentPolynomial.make(f.field, f1))

@@ -3,11 +3,10 @@
 A code is built by evaluating the monomials x^a, a a lattice point of P,
 at all (q-1)^m points of the algebraic torus (F_q^*)^m, one monomial per
 class of a mod q-1.  Distinct classes are distinct torus characters,
-independent by Dedekind-Artin, so the rank needs no elimination; only a
-generator built by hand gets one.  The evaluation order is fixed: torus
-points are enumerated in lexicographic order of their coordinate
-discrete logs (base = the field's canonical generator), so generator
-matrices are reproducible across platforms.
+independent by Dedekind-Artin, so the rank needs no elimination.  The
+evaluation order is fixed: torus points are enumerated in lexicographic
+order of their coordinate discrete logs (base = the field's canonical
+generator), so generator matrices are reproducible across platforms.
 
 Two minimum-weight engines are provided.  The exhaustive engine sweeps
 messages that meet every orbit of the weight-preserving rescalings
@@ -19,8 +18,7 @@ The Brouwer-Zimmermann engine enumerates codewords by information weight
 and stops once a lower bound on every unseen codeword meets the best
 weight found.  A torus translation x -> t x acts regularly on the
 coordinates and maps a toric code onto itself, so one information set
-bounds every unseen codeword by ceil(n (w+1) / k) after weight w; a
-generator built by hand is enumerated on greedy disjoint sets.
+bounds every unseen codeword by ceil(n (w+1) / k) after weight w.
 
 Both engines enumerate messages whose last coordinate c runs fastest.
 The codeword of each prefix (c set to 0) is computed once, exactly, by
@@ -140,26 +138,25 @@ class _WeightEngine:
 
 @dataclass(frozen=True)
 class ToricCode:
-    """A full-rank k x n generator.  Rows with ``row_exponents`` distinct
-    mod q - 1 are distinct torus characters, independent (Dedekind-Artin);
-    a generator built without them is checked by elimination."""
+    """A full-rank k x n generator on the torus (F_q^*)^m.  Rows with
+    ``row_exponents`` distinct mod q - 1 are distinct torus characters,
+    independent (Dedekind-Artin)."""
     field: object
     polytope: Polytope
     exponents: tuple       # all lattice points of P, sorted
     matrix: np.ndarray     # k x n full-rank generator (element codes)
-    row_exponents: tuple = ()  # lattice point of each row; () if unknown
+    row_exponents: tuple   # lattice point of each row
     k = property(lambda self: self.matrix.shape[0])
     n = property(lambda self: self.matrix.shape[1])
 
     def __post_init__(self):
         rows, q = self.row_exponents, self.field.q
-        if rows and len(rows) != self.k:
+        if len(rows) != self.k:
             raise ValueError(f"{len(rows)} row exponents for {self.k} rows")
-        if rows and self.n != (q - 1) ** len(rows[0]):  # the regular action
+        if self.n != (q - 1) ** len(rows[0]):  # the regular action
             raise ValueError(f"{self.n} columns are not the torus "
                              f"(F_{q}^*)^{len(rows[0])}")
-        rank = (len({tuple(x % (q - 1) for x in a) for a in rows}) if rows
-                else len(_echelon(self.field, self.matrix)[0]))
+        rank = len({tuple(x % (q - 1) for x in a) for a in rows})
         if rank < self.k:
             raise ValueError(f"generator {self.matrix.shape} of rank {rank}"
                              " is not of full rank")
@@ -183,14 +180,13 @@ def build_code(P, q):
     if not pts:
         raise ValueError("polytope has no lattice points")
     m = P.ambient
-    exps = np.array(pts, dtype=np.int64)
-    widths = exps.max(axis=0) - exps.min(axis=0)
-    if np.any(widths > q - 2):
+    width = max(max(c) - min(c) for c in zip(*pts))  # Python ints: unbounded
+    if width > q - 2:
         warnings.warn(
-            f"coordinate width {int(widths.max())} exceeds q-2={q - 2}; "
+            f"coordinate width {width} exceeds q-2={q - 2}; "
             "distinct lattice points may evaluate identically",
             stacklevel=2)
-    reduced = exps % (q - 1)
+    reduced = np.array([[x % (q - 1) for x in a] for a in pts], np.int64)
     if len(pts) * (q - 1) ** m > _MAX_CELLS:
         raise ValueError(f"evaluation matrix too large: {len(pts)} points x "
                          f"{(q - 1) ** m} torus points > 2^26")
@@ -222,8 +218,9 @@ def _sweep_plan(code):
     without the zero message, times n.
     """
     q, k, n = code.field.q, code.k, code.n
-    exps = np.array(code.row_exponents or [()] * k, np.int64).reshape(k, -1)
-    width = exps.shape[1] + 1  # 1 with no exponents: lambda alone acts
+    exps = np.array([[x % (q - 1) for x in a] for a in code.row_exponents],
+                    np.int64)  # every prime below divides q - 1
+    width = exps.shape[1] + 1
     floor = exhaustive_cost(q, k, n) // (q - 1) ** (width - 1)
     if floor > BUDGET:  # the sweep meets every orbit: it costs at least this
         return [], floor
@@ -290,30 +287,6 @@ def min_weight_exhaustive(code, plan=None):
     return best
 
 
-def _information_sets(field, gen):
-    """Greedy disjoint information sets with deficiencies, one at a time.
-
-    Yields (columns, deficiency, systematic): each set has k columns I
-    whose submatrix is invertible, and ``systematic`` is inv(G_I) G;
-    ``deficiency`` counts columns borrowed from earlier sets once fresh
-    columns run out of rank.  A set is the pivot columns of one
-    elimination on the unused columns followed by the used ones.
-    """
-    k, n = gen.shape
-    used = np.zeros(n, dtype=bool)
-    while True:
-        order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
-        pivots, R = _echelon(field, gen[:, order])
-        cols = order[pivots]
-        fresh = cols[~used[cols]]
-        if fresh.size == 0 or cols.size < k:
-            return
-        systematic = np.empty(R.shape, np.min_scalar_type(field.q - 1))
-        systematic[:, order] = R
-        used[cols] = True
-        yield tuple(int(c) for c in cols), k - fresh.size, systematic
-
-
 def _bz_batches(q, k, w, rows):
     """BZ's weight-w messages (first nonzero entry 1): chunks of at most
     ``rows`` prefixes, each with cuts [(c, end)] standing for prefixes[:end]
@@ -337,43 +310,30 @@ def _bz_batches(q, k, w, rows):
 def min_weight_bz(code):
     """Exact minimum weight via enumeration by information weight.
 
-    For each information set, codewords are generated from weight-w
-    information vectors (first nonzero entry 1, ``_bz_batches``) against
-    the systematized generator.  A code with row exponents takes one set
-    I: a translation t of the torus maps each codeword c to c o t, of the
-    same weight, with (c o t)|I = c|tI, and the n translates cover every
-    coordinate k times.  So a codeword none of whose translates was seen,
-    of weight > w on every tI, has k wt(c) >= n (w+1).  A generator built
-    by hand takes greedy disjoint sets instead: after weight w on the
-    first sets, every unseen codeword has weight at least
-    sum_i max(0, w+1 - deficiency_i) over those sets plus
-    sum_i max(0, w - deficiency_i) over the rest.  The sweep stops once
-    this bound reaches the best weight.
+    Codewords are generated from weight-w information vectors (first
+    nonzero entry 1, ``_bz_batches``) against the generator systematized
+    on one information set I, its pivot columns.  A translation t of the
+    torus maps each codeword c to c o t, of the same weight, with
+    (c o t)|I = c|tI, and the n translates cover every coordinate k
+    times.  So a codeword none of whose translates was seen, of weight
+    > w on every tI, has k wt(c) >= n (w+1).  The sweep stops once this
+    bound reaches the best weight.
     """
-    field, gen = code.field, code.matrix
-    q, k, n = field.q, code.k, code.n
+    field, q, k, n = code.field, code.field.q, code.k, code.n
     if k > 24:
         raise ValueError("BZ engine is configured for k <= 24")
-    sets = _information_sets(field, gen)
-    if code.row_exponents:  # the torus acts regularly: one set suffices
-        sets = [next(sets)]
-    systems = [(_WeightEngine(field, systematic), d)
-               for _, d, systematic in sets]
+    engine = _WeightEngine(field, _echelon(field, code.matrix)[1])
     best = n
     for w in range(1, k + 1):
         values = range(1, q if w > 1 else 2)
         rows = max(1, _CHUNK_COORDS // (len(values) * n))
-        for done, (engine, _) in enumerate(systems):
-            for prefixes, cuts in _bz_batches(q, k, w, rows):
-                codes = engine.codes(prefixes)
-                for c, end in cuts:
-                    zeros = engine.count(codes[:end], c, values).max()
-                    best = min(best, n - int(zeros))
-            lower = (-(-n * (w + 1) // k) if code.row_exponents else
-                     sum(max(0, w + 1 - d) for _, d in systems[:done + 1])
-                     + sum(max(0, w - d) for _, d in systems[done + 1:]))
-            if lower >= best:
-                return best
+        for prefixes, cuts in _bz_batches(q, k, w, rows):
+            codes = engine.codes(prefixes)
+            for c, end in cuts:
+                zeros = engine.count(codes[:end], c, values).max()
+                best = min(best, n - int(zeros))
+        if -(-n * (w + 1) // k) >= best:
+            return best
     return best
 
 
@@ -405,8 +365,7 @@ def params_report(P, q, engine="auto"):
     gv_d = gv_max_d(code.n, code.k, q)
     L, _ = minkowski_length(P)
     char_ok = code.field.p > 41
-    pts = np.array(code.exponents, dtype=np.int64)
-    in_box = bool(np.all(pts.max(axis=0) - pts.min(axis=0) <= q - 2))
+    in_box = all(max(c) - min(c) <= q - 2 for c in zip(*code.exponents))
     box_flag = ("P fits in a translate of [0,q-2]^m", in_box)
     s_bound = simplex_bound(L, q, n=P.ambient)
     reports = [

@@ -272,6 +272,17 @@ class TestZeros:
         assert rc == 0 and out["N_f"] == 1022  # y = x + 1, x != 1
         assert peak < 24 * 2 ** 20, peak
 
+    def test_exponent_beyond_int64(self, tmp_path, capsys):
+        # 10^20 - 1 = 3 mod 4: the exponent is reduced before any array
+        counts = []
+        for e in ("99999999999999999999", "3"):
+            f = tmp_path / f"e{len(e)}.txt"
+            f.write_text(f"1 {e} 0 0\n1 0 0 0\n")
+            rc, out = run_json(capsys, ["zeros", str(f), "--q", "5"])
+            assert rc == 0
+            counts.append(out["N_f"])
+        assert counts == [16, 16]  # x^3 = -1: x = -1, any y, z
+
     @pytest.mark.long
     def test_q1024_trivariate(self, tmp_path, capsys):
         f = tmp_path / "t.txt"
@@ -332,6 +343,18 @@ class TestCode:
         simplex = next(b for b in out["bounds"] if b["name"] == "simplex")
         assert simplex["value"] == 0 and simplex["inputs"] == {"L": 0}
         assert simplex["holds"] is True
+
+    def test_coordinates_beyond_int64(self, tmp_path, capsys):
+        # a primitive segment with 2 lattice points; 10^20 - 1 = 3 mod 4,
+        # so its code is that of conv{0, (3, 1, 0)} at q = 5
+        params = []
+        for x in (99999999999999999999, 3):
+            f = tmp_path / f"s{x % 10 ** 6}.json"
+            f.write_text(json.dumps({"vertices": [[0, 0, 0], [x, 1, 0]]}))
+            rc, out = run_json(capsys, ["code", str(f), "--q", "5"])
+            assert rc == 0
+            params.append((out["n"], out["k"], out["d"], out["N_P"]))
+        assert params[0] == params[1] == (64, 2, 48, 16)
 
     def test_budget_exit_code(self, tmp_path):
         f = tmp_path / "big.json"

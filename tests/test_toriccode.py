@@ -14,15 +14,6 @@ from toric3.geometry import convex_hull
 from toric3.gfq import make_field
 
 
-def random_code(rng, field, k, n):
-    while True:
-        G = rng.integers(0, field.q, size=(k, n)).astype(np.int64)
-        basis = tc._echelon(field, G.T)[0]
-        if len(basis) == k:
-            return tc.ToricCode(field=field, polytope=None, exponents=(),
-                                matrix=G[basis])
-
-
 class TestGfLinearAlgebra:
     def test_row_reduce_detects_dependence(self):
         F = make_field(5)
@@ -110,8 +101,8 @@ def oracle_polytope(rng, kind, q):
 
 
 def orbit_oracle_codes(rng):
-    """(q, kind, code, the code with its row exponents stripped) for
-    random small polytopes of each kind at q in {4, 5, 7, 8, 9}."""
+    """(q, kind, code) for random small polytopes of each kind at q in
+    {4, 5, 7, 8, 9}, each cheap enough for the projective sweep."""
     for q in (4, 5, 7, 8, 9):
         # a non-injective code has q points on a line, too many to
         # sweep unreduced at q = 8, 9
@@ -119,10 +110,9 @@ def orbit_oracle_codes(rng):
         for kind in kinds * 2:
             while True:
                 code = build_quietly(oracle_polytope(rng, kind, q), q)
-                plain = dataclasses.replace(code, row_exponents=())
-                if tc.exhaustive_cost(q, plain.k, plain.n) <= 3 * 10 ** 7:
+                if tc.exhaustive_cost(q, code.k, code.n) <= 3 * 10 ** 7:
                     break
-            yield q, kind, code, plain
+            yield q, kind, code
 
 
 def laplace_det(M):
@@ -133,10 +123,9 @@ def laplace_det(M):
 
 
 def characters(code):
-    """The rows' characters (1, a mod q-1), (1,) with no row exponents."""
+    """The rows' characters (1, a mod q-1)."""
     q = code.field.q
-    return [[1] + [x % (q - 1) for x in a]
-            for a in code.row_exponents or ((),) * code.k]
+    return [[1] + [x % (q - 1) for x in a] for a in code.row_exponents]
 
 
 def unit_minors(q, chars):
@@ -203,7 +192,7 @@ def frame_levels(code):
     """The frame plan of the sweep before pinning: levels (frame, free),
     a frame a greedy set of at most m+1 of the rows left with
     ``unit_minors``, on which the rescalings reach every nonzero value
-    pattern; one-row frames give the projective sweep."""
+    pattern."""
     q, chars = code.field.q, characters(code)
     left, levels = list(range(code.k)), []
     while left:
@@ -217,13 +206,20 @@ def frame_levels(code):
     return levels
 
 
-def frame_min_weight(code):
-    """Minimum weight by the frame sweep: per level, the nonzero 0/1
-    patterns on the frame with the free rows over F_q."""
+def projective_levels(k):
+    """The frame levels of the projective sweep: one row per frame, the
+    first nonzero one, with every later row free."""
+    return [([r], list(range(r + 1, k))) for r in range(k)]
+
+
+def frame_min_weight(code, levels=None):
+    """Minimum weight by the frame sweep: per level (by default those of
+    ``frame_levels``), the nonzero 0/1 patterns on the frame with the
+    free rows over F_q."""
     q, k, n = code.field.q, code.k, code.n
     engine = tc._WeightEngine(code.field, code.matrix)
     best = n
-    for frame, free in frame_levels(code):
+    for frame, free in levels or frame_levels(code):
         c, values = (free[-1], range(q)) if free else (0, range(1))
         rows = max(1, tc._CHUNK_COORDS // (len(values) * n))
         for msgs in message_batches(q, k, frame, free[:-1], rows):
@@ -332,23 +328,17 @@ class TestBuildCode:
             code = tc.build_code(seg, q)
         assert code.k == q - 1 < len(code.exponents)
 
-    def test_rank_deficient_generator_refused(self):
-        # the second row is twice the first in GF(5): BZ finds no
-        # information set and the exhaustive sweep finds weight 0
-        F = make_field(5)
-        G = np.array([[1, 2, 3, 4, 0, 1], [2, 4, 1, 3, 0, 2]])
-        with pytest.raises(ValueError, match=r"\(2, 6\) of rank 1 is not"):
-            tc.ToricCode(field=F, polytope=None, exponents=(), matrix=G)
-
     def test_row_exponents_refused(self):
-        # given row exponents stand in for the elimination: two rows
-        # congruent mod q - 1 are one character, and there is one per row
+        # the row exponents prove the rank: two rows congruent mod q - 1
+        # are one character, and there is one per row
         code = tc.build_code(named_polytope("S1"), 5)
         rows = code.row_exponents
         with pytest.raises(ValueError, match=r"\(4, 64\) of rank 3 is not"):
             dataclasses.replace(code, row_exponents=rows[:3] + ((4, 0, 0),))
         with pytest.raises(ValueError, match="3 row exponents for 4 rows"):
             dataclasses.replace(code, row_exponents=rows[:3])
+        with pytest.raises(ValueError, match="0 row exponents for 4 rows"):
+            dataclasses.replace(code, row_exponents=())
         assert dataclasses.replace(code, row_exponents=rows[:3] + ((5, 0, 0),)
                                    ).k == 4
 
@@ -362,8 +352,9 @@ class TestBuildCode:
         with pytest.raises(ValueError, match=r"64 columns .* \(F_5\^\*\)\^2"):
             dataclasses.replace(code, row_exponents=tuple(
                 a[:2] for a in code.row_exponents))
-        assert dataclasses.replace(code, matrix=code.matrix[:, :63],
-                                   row_exponents=()).n == 63
+        with pytest.raises(ValueError, match="0 row exponents for 4 rows"):
+            dataclasses.replace(code, matrix=code.matrix[:, :63],
+                                row_exponents=())
 
     def test_build_memory_is_the_generator(self):
         # S1 at q = 64: k = 4 rows of n = 63^3 one-byte codes; the bound
@@ -473,8 +464,7 @@ class TestMinWeight:
 
     def test_bz_memory_is_one_set(self):
         # conv{0, 2 e_1} at q = 257: n = 256^2 and k = 3.  BZ holds one
-        # set's systematic generator and its chunks, not one generator for
-        # each of the 256 greedy sets
+        # systematic generator and its chunks
         code = tc.build_code(convex_hull([(0, 0), (2, 0)]), 257)
         d, peak = traced_peak(tc.min_weight_bz, code)
         assert d == code.n - 2 * 256  # a + b x + c x^2: two roots x
@@ -489,49 +479,37 @@ class TestMinWeight:
         dtype = np.min_scalar_type(q - 1)
         assert tc._WeightEngine(code.field, code.matrix)._minus_g.dtype == \
             dtype
-        assert next(tc._information_sets(code.field, code.matrix))[2].dtype \
-            == dtype
         want = tc.min_weight_exhaustive(code)
         assert tc.min_weight_bz(code) == want
         monkeypatch.setattr(tc, "_CHUNK_COORDS", 1)
         assert tc.min_weight_exhaustive(code) == want
         assert tc.min_weight_bz(code) == want
 
-    def test_engines_agree_on_random_codes(self, rng):
-        for q in (4, 5, 7):
-            F = make_field(q)
-            for _ in range(6):
-                code = random_code(rng, F, k=int(rng.integers(2, 5)), n=18)
-                assert tc.min_weight_exhaustive(code) == tc.min_weight_bz(code)
-
     def test_orbit_reduction_matches_projective_sweep(self, rng):
-        # row exponents stripped: one pinned row, the projective sweep;
-        # both match the frame sweep that the pinning replaced
+        # the pinned sweep against the frame sweep that the pinning
+        # replaced and the projective sweep, one pinned row
         reduced = 0
-        for q, kind, code, plain in orbit_oracle_codes(rng):
+        for q, kind, code in orbit_oracle_codes(rng):
             assert len(code.row_exponents) == code.k
             assert (code.k == len(code.exponents)) == (kind != "wide")
-            d = tc.min_weight_exhaustive(code)
-            for c in (code, plain):
-                assert tc.min_weight_exhaustive(c) == frame_min_weight(c) \
-                    == d, (q, kind, code.exponents)
+            assert tc.min_weight_exhaustive(code) == frame_min_weight(code) \
+                == frame_min_weight(code, projective_levels(code.k)), \
+                (q, kind, code.exponents)
             projective = tc.exhaustive_cost(q, code.k, code.n)
-            assert tc._sweep_plan(plain)[1] == projective
             reduced += tc._sweep_plan(code)[1] < projective
         assert reduced >= 20
 
     def test_translates_match_multi_set_bz(self, rng):
-        # row exponents stripped: the greedy disjoint sets and their
-        # deficiency bound, against one set and the averaging bound
-        for q, kind, code, plain in orbit_oracle_codes(rng):
-            assert tc.min_weight_bz(code) == tc.min_weight_bz(plain) == \
-                tc.min_weight_exhaustive(code), (q, kind, code.exponents)
+        # BZ on one information set with the averaging bound, over the
+        # torus translates of that set, against the exhaustive sweep
+        for q, kind, code in orbit_oracle_codes(rng):
+            assert tc.min_weight_bz(code) == tc.min_weight_exhaustive(code), \
+                (q, kind, code.exponents)
         # tiny tori: one point (q = 2), and T0 at q = 3
         for name, q, d in (("P8", 2, 1), ("T0", 3, 2)):
             code = build_quietly(named_polytope(name), q)
-            plain = dataclasses.replace(code, row_exponents=())
-            assert tc.min_weight_bz(code) == tc.min_weight_bz(plain) == \
-                tc.min_weight_exhaustive(code) == d, (name, q)
+            assert tc.min_weight_bz(code) == tc.min_weight_exhaustive(code) \
+                == d, (name, q)
 
     def test_budget_guard(self):
         P = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
@@ -597,11 +575,10 @@ class TestSweepPlan:
                 == tc._sweep_plan(code)[1] // code.n
 
     def test_pinning_matches_minor_gcd(self, rng):
-        for q, kind, code, plain in orbit_oracle_codes(rng):
-            for c in (code, plain):
-                plan = {tuple(f): sorted(map(tuple, b.tolist()))
-                        for b, f in tc._sweep_plan(c)[0]}
-                assert plan == pinning_plan(c), (q, kind, c.row_exponents)
+        for q, kind, code in orbit_oracle_codes(rng):
+            plan = {tuple(f): sorted(map(tuple, b.tolist()))
+                    for b, f in tc._sweep_plan(code)[0]}
+            assert plan == pinning_plan(code), (q, kind, code.row_exponents)
 
     def test_message_counts(self):
         for q, k, n in ((2, 5, 1), (5, 8, 64), (9, 11, 512)):
@@ -629,29 +606,6 @@ def greedy_rows(F, rows):
     return basis
 
 
-def greedy_information_sets(F, gen):
-    """Information sets chosen one column at a time with ``greedy_rows``."""
-    k, n = gen.shape
-    used = np.zeros(n, dtype=bool)
-    sets = []
-    while True:
-        fresh = np.flatnonzero(~used)[greedy_rows(F, list(gen[:, ~used].T))]
-        if fresh.size == 0:
-            break
-        chosen = list(fresh)
-        for c in np.flatnonzero(used):
-            if len(chosen) == k:
-                break
-            trial = chosen + [int(c)]
-            if len(greedy_rows(F, list(gen[:, trial].T))) == len(trial):
-                chosen = trial
-        if len(chosen) < k:
-            break
-        sets.append((tuple(int(c) for c in chosen), k - fresh.size))
-        used[fresh] = True
-    return sets
-
-
 class TestInformationSets:
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
     def test_row_reduce_matches_greedy(self, rng, q):
@@ -660,44 +614,6 @@ class TestInformationSets:
             rows = rng.integers(0, q, size=(int(rng.integers(1, 9)), 7))
             rows[rng.random(rows.shape) < 0.5] = 0  # force dependences
             assert tc._echelon(F, rows.T)[0] == greedy_rows(F, list(rows))
-
-    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
-    def test_same_sets_as_column_greedy(self, rng, q):
-        F = make_field(q)
-        for _ in range(4):
-            code = random_code(rng, F, k=int(rng.integers(2, 6)),
-                               n=int(rng.integers(6, 30)))
-            # sparse columns make later sets borrow used columns
-            G = code.matrix.copy()
-            G[:, rng.random(code.n) < 0.3] = 0
-            G[:, :code.k] = code.matrix[:, :code.k]
-            assert [s[:2] for s in tc._information_sets(F, G)] == \
-                greedy_information_sets(F, G)
-        if q <= 5:  # the oracle is slow on the longer codes
-            code = tc.build_code(named_polytope("T1"), q)
-            assert [s[:2] for s in tc._information_sets(F, code.matrix)] == \
-                greedy_information_sets(F, code.matrix)
-
-    def test_disjoint_and_invertible(self, rng):
-        F = make_field(5)
-        code = random_code(rng, F, k=4, n=18)
-        sets = list(tc._information_sets(F, code.matrix))
-        fresh_cols = []
-        for cols, delta, systematic in sets:
-            assert len(cols) == 4
-            assert len(tc._echelon(F, code.matrix[:, cols])[0]) == 4
-            # inv(G_I) G: the identity on I, in the row space of G
-            assert np.array_equal(systematic[:, cols], np.eye(4))
-            assert len(greedy_rows(F, list(code.matrix) + list(systematic))) \
-                == 4
-            fresh_cols.append(set(cols))
-        # first set has no deficiency; all-fresh sets are pairwise disjoint
-        assert sets[0][1] == 0
-        full = [s for (s, (_, d, _)) in zip(fresh_cols, sets) if d == 0]
-        for i in range(len(full)):
-            for j in range(i + 1, len(full)):
-                assert not (full[i] & full[j])
-
 
 def old_bz_messages(q, k, w, chunk):
     """BZ's weight-w messages as the loop over supports enumerated them:
