@@ -1,17 +1,18 @@
 """Exact integer lattice geometry in dimensions 2 and 3.
 
-Hulls and coordinates use Python ints only.  A full-dimensional hull in
-Z^3 comes from one exact incremental hull.  One numpy kernel enumerates
-the lattice points of a batch of full-dimensional polytopes or symmetric
-slab regions {x : |<n, x>| <= b}: their boxes of the first n - 1
-coordinates are padded to one shape, and each column is cut to an exact
-integer interval of the last (int64; coordinates stay far below overflow
-at the scales this library targets).  A region whose box has more than
-2^26 columns x inequalities is refused.  Segment sums P + [0, u] reach it
-with no hull, from P's facets and edges (``segment_sums``), a host's
-directions in chunks of at most 2^14 padded cells.  A slab region reads
-its rows and its box off the hull of its +-normals, and a 3-dimensional
-volume is read off the hull's triangles.
+Hulls and coordinates use Python ints only.  Every hull comes from one
+exact incremental hull in Z^3, a planar set's from the pyramid over it.
+One numpy kernel enumerates the lattice points of a batch of
+full-dimensional polytopes or symmetric slab regions {x : |<n, x>| <= b}:
+their boxes of the first n - 1 coordinates are padded to one shape, and
+each column is cut to an exact integer interval of the last (int64; a
+region where a cut value, or a partial sum of one, reaches 2^60 is
+refused, and so is one whose box has more than 2^26 columns x
+inequalities).  Segment sums P + [0, u] reach it with no hull, from P's
+facets and edges (``segment_sums``), a host's directions in chunks of at
+most 2^14 padded cells.  A slab region reads its rows and its box off
+the hull of its +-normals, and a volume or an area is read off the
+hull's triangles.
 A lower-dimensional polytope carries one chart, the affine unimodular
 map x -> U (x - p0) for p0 its least point and U the transform that puts
 the columns A^T of its difference vectors into Hermite normal form
@@ -58,10 +59,7 @@ def vdot(a, b):
 
 
 def vgcd(a):
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*a)
 
 
 def is_primitive(a):
@@ -249,33 +247,16 @@ class UnimodularMap:
 # ---------------------------------------------------------------------------
 # convex hull
 
-def _hull_2d(points):
-    """Andrew's monotone chain on points spanning Z^2; returns hull
-    vertices in ccw order, minimal (collinear points dropped)."""
-    pts = sorted(set(points))
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                turn = ((a[0] - o[0]) * (p[1] - o[1])
-                        - (a[1] - o[1]) * (p[0] - o[0]))
-                if turn <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]
-
-
 def _hull_3d(pts):
     """Vertices, facets and normalized volume of the hull of distinct
-    points spanning Z^3.
+    points spanning Z^3 or Z^2.
+
+    A planar set P is hulled as the pyramid over it, P x {0} and the apex
+    (p0, 1).  Its base vertices are those of P, its side facet (n, b) over
+    an edge of P gives the facet (n_xy, b) of P, and its normalized
+    3-volume 3! * area / 3 is the normalized area of P.  n_xy is primitive:
+    gcd(n_xy) divides b (<n_xy, x> = b on the edge's lattice points) and
+    <n_xy, p0>, so it divides n_z = b - <n_xy, p0> too.
 
     Exact incremental hull (Clarkson-Shor), taking points in Quickhull's
     farthest-first order.  The boundary is a set of outward-oriented
@@ -291,6 +272,11 @@ def _hull_3d(pts):
     volume of its cone from the origin, so the final offsets sum to the
     normalized volume.
     """
+    if len(pts[0]) == 2:
+        verts, facets, vol = _hull_3d([pts[0] + (1,)]
+                                      + [p + (0,) for p in pts])
+        return ([v[:2] for v in verts if not v[2]], tuple(sorted(
+            (n[:2], b) for n, b in facets if any(n[:2]))), vol)
     # 3D dot and cross products spelled out: they run for every triangle
     # of the thousands of tiny hulls a segment sweep builds
     def dot(n, p):
@@ -378,7 +364,8 @@ def _hull_3d(pts):
 
 _MAX_CELLS = 1 << 26  # columns x inequalities of one region: 512 MB of int64
 _BATCH_CELLS = 1 << 14  # padded columns x inequalities per chunk of sums
-_BIG = 1 << 60  # beyond every cut value
+_BIG = 1 << 60  # beyond every cut value (checked)
+_TOO_LARGE = "coordinates too large: a cut value reaches 2^60"
 
 
 def _column_points(N, B, lo, hi):
@@ -388,8 +375,9 @@ def _column_points(N, B, lo, hi):
     N is (k, m, n), B is (k, m), lo and hi are (k, n).  The boxes of the
     first n - 1 coordinates are padded to one shape, and each column is
     cut to an exact integer interval of the last coordinate, which the
-    inequalities must bound both ways.  Raises ValueError, before any
-    array is built, when one region's columns x inequalities exceeds 2^26.
+    inequalities must bound both ways.  Raises ValueError when one
+    region's columns x inequalities exceeds 2^26 (before any array is
+    built) or when a cut value reaches 2^60 (before any column is cut).
     """
     m = len(B[0])
     widths = [[b - a + 1 for a, b in zip(l[:-1], h[:-1])]
@@ -398,8 +386,23 @@ def _column_points(N, B, lo, hi):
         if ncols * m > _MAX_CELLS:
             raise ValueError(f"lattice point box too large: {ncols} columns"
                              f" x {m} inequalities = {ncols * m} > 2^26")
-    N, B, lo = (np.asarray(a, dtype=np.int64) for a in (N, B, lo))
     k, shape = len(N), [max(w) for w in zip(*widths)]
+    xmax = max(map(abs, itertools.chain.from_iterable(lo))) + max(shape)
+    try:
+        N, B, lo = (np.asarray(a, dtype=np.int64) for a in (N, B, lo))
+    except OverflowError:
+        raise ValueError(_TOO_LARGE) from None
+    # each partial sum -b + n_0 x_0 + ... of a cut value is at most |b| +
+    # sum |n_j| |x_j|, and over the padded box it peaks at a corner
+    bmax, nmax = (max(int(v.max()), -int(v.min())) for v in (B, N))
+    if bmax + nmax * len(shape) * xmax >= _BIG:
+        for Ni, Bi, l in zip(N.tolist(), B.tolist(), lo.tolist()):
+            for row, b in zip(Ni, Bi):
+                ends = [sorted((a * x, a * (x + w - 1)))
+                        for a, x, w in zip(row, l, shape)]
+                if any(abs(s) >= _BIG for e in zip(*ends)
+                       for s in itertools.accumulate(e, initial=-b)):
+                    raise ValueError(_TOO_LARGE)
     # f[row, region, column] = -rhs of n_z z >= rhs, an outer sum over the
     # column axes, then floor(-rhs / |n_z|) in place
     f = -B.T[:, :, None]
@@ -510,17 +513,8 @@ def convex_hull(points):
 
     if dim == 0:
         return Polytope(n, 0, (p0,))
-    if dim == n == 3:
-        return Polytope(n, 3, *_hull_3d(pts)[:2])
     if dim == n:
-        hull = _hull_2d(pts)
-        facets = []
-        for i in range(len(hull)):
-            a, b = hull[i], hull[(i + 1) % len(hull)]
-            d = vsub(b, a)
-            nvec = primitive((-d[1], d[0]))  # inward for ccw order
-            facets.append((nvec, vdot(nvec, a)))
-        return Polytope(n, 2, hull, tuple(sorted(facets)))
+        return Polytope(n, n, *_hull_3d(pts)[:2])
 
     # lower-dimensional: hull the chart coordinates over aff(P) & Z^n
     U = _hnf_transform(mat_transpose(diffs))
@@ -587,9 +581,15 @@ def segment_sums(P):
     lo, hi = V.min(axis=0), V.max(axis=0)
     width = (hi - lo + 1)[:-1].tolist()
     rows = len(Fb) + 2 * (len(edges) if n == 3 else 1)
+    # a chunk's int64 rows stay below 6 max|e, f| max|v| max|u|, as
+    # |<e x u, v>| <= 6 |e| |u| |v| and |<f, u>| + |b| <= 3 |f| (|u| + |v|)
+    scale = 6 * max(map(abs, itertools.chain(*edges, *(f for f, _ in facets))
+                        )) * max(map(abs, itertools.chain(*verts)))
 
     def chunk(us):
         U = np.array(us)
+        if scale * max(1, int(U.max()), -int(U.min())) >= 1 << 63:
+            raise ValueError("coordinates too large for int64 segment sums")
         S = np.cross(edges, U[:, None]) if n == 3 else \
             U[:, None, ::-1] * (-1, 1)  # u^perp
         vals = S @ V.T
@@ -638,28 +638,16 @@ def good_polytope(P, bound=14):
     return RationalHalfSpaceSystem(normals + [h], bound)
 
 
-def _relative_vol2(points):
-    """Normalized area (2 * Euclidean area) of the hull of points in Z^2."""
-    hull = _hull_2d(points)
-    s = 0
-    for i in range(len(hull)):
-        a = hull[i]
-        b = hull[(i + 1) % len(hull)]
-        s += a[0] * b[1] - a[1] * b[0]
-    return abs(s)
-
-
 def normalized_volume(P):
     """dim!-normalized volume of P measured in the lattice of aff(P); in
-    dimension 3 the one that ``_hull_3d`` sums over its triangles."""
+    dimensions 2 and 3 the one that ``_hull_3d`` sums over its triangles
+    (of the pyramid over a full-dimensional P in Z^2)."""
     if P.dim == 0:
         return 0
     if P.dim < P.ambient:
         return normalized_volume(P._inner)
     if P.dim == 1:
         return P.vertices[-1][0] - P.vertices[0][0]
-    if P.dim == 2:
-        return _relative_vol2(P.vertices)
     return _hull_3d(P.vertices)[2]
 
 
@@ -695,17 +683,8 @@ def mixed_area(P0, P1):
     S = minkowski_sum(P0, P1)
     if S.dim > 2:
         raise ValueError("polytopes do not lie in parallel planes")
-    if S.dim < 2:
-        return 0
-    # measure all three in the plane lattice of the sum
-    B = S._chart.matrix[:2] if S.ambient == 3 else mat_identity(2)
-
-    def area(P):
-        if P.dim < 2:
-            return 0
-        return _relative_vol2([mat_vec(B, p) for p in P.vertices])
-
-    return (area(S) - area(P0) - area(P1)) // 2
+    # parallel planes meet Z^n in translates of one lattice
+    return (vol2(S) - vol2(P0) - vol2(P1)) // 2
 
 
 # ---------------------------------------------------------------------------

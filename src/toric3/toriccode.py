@@ -38,7 +38,7 @@ import numpy as np
 
 from .bounds import (BoundReport, dps_volume_bound, griesmer_max_d, gv_max_d,
                      simplex_bound, width_one_final_bound)
-from .geometry import _MAX_CELLS, Polytope, lattice_width, normalized_volume
+from .geometry import _MAX_CELLS, lattice_width, normalized_volume
 from .gfq import make_field
 from .minklen import minkowski_length
 
@@ -142,8 +142,6 @@ class ToricCode:
     ``row_exponents`` distinct mod q - 1 are distinct torus characters,
     independent (Dedekind-Artin)."""
     field: object
-    polytope: Polytope
-    exponents: tuple       # all lattice points of P, sorted
     matrix: np.ndarray     # k x n full-rank generator (element codes)
     row_exponents: tuple   # lattice point of each row
     k = property(lambda self: self.matrix.shape[0])
@@ -196,9 +194,8 @@ def build_code(P, q):
     for a, g in zip(reduced[basis].T, np.indices(logs.shape[1:], sparse=True)):
         logs += np.multiply.outer(a, g)  # one discrete-log axis at a time
     logs %= q - 1
-    return ToricCode(field=field, polytope=P, exponents=tuple(pts),
-                     matrix=field._exp0[logs.reshape(len(basis), -1)],
-                     row_exponents=tuple(pts[i] for i in basis))
+    return ToricCode(field, field._exp0[logs.reshape(len(basis), -1)],
+                     tuple(pts[i] for i in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +362,7 @@ def params_report(P, q, engine="auto"):
     gv_d = gv_max_d(code.n, code.k, q)
     L, _ = minkowski_length(P)
     char_ok = code.field.p > 41
-    in_box = all(max(c) - min(c) <= q - 2 for c in zip(*code.exponents))
+    in_box = all(max(c) - min(c) <= q - 2 for c in zip(*P.vertices))
     box_flag = ("P fits in a translate of [0,q-2]^m", in_box)
     s_bound = simplex_bound(L, q, n=P.ambient)
     reports = [

@@ -148,6 +148,19 @@ class TestLengthAndSearches:
         assert "> 2^26" in err[0]
         assert peak < 4 * 2 ** 20, peak
 
+    def test_cut_values_reaching_2_60_rejected(self, tmp_path, capsys):
+        # 6 of its 10 lattice points came out before the cut values were
+        # checked
+        T = 2 ** 60
+        f = tmp_path / "far.json"
+        f.write_text(json.dumps({"vertices": [[T, T, T], [T + 2, T, T],
+                                              [T, T + 2, T], [T, T, T + 2]]}))
+        assert cli.run(["info", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: coordinates too large: a cut value reaches 2^60"]
+
     def test_triangles_t2_empty(self, capsys):
         rc, out = run_json(capsys, ["triangles", "@T2"])
         assert rc == 0 and out["count"] == 0
@@ -355,6 +368,18 @@ class TestCode:
             assert rc == 0
             params.append((out["n"], out["k"], out["d"], out["N_P"]))
         assert params[0] == params[1] == (64, 2, 48, 16)
+
+    def test_pair_beyond_int64_exits_2(self, tmp_path, capsys):
+        # the planar sum's chart reaches coordinates near 10^20
+        files = []
+        for x in (99999999999999999999, 3):
+            files.append(tmp_path / f"s{x % 10 ** 6}.json")
+            files[-1].write_text(json.dumps({"vertices": [[0, 0, 0],
+                                                          [x, 1, 0]]}))
+        assert cli.run(["pair", *map(str, files)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: coordinates too large: a cut value reaches "
+                       "2^60"]
 
     def test_budget_exit_code(self, tmp_path):
         f = tmp_path / "big.json"

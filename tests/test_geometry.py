@@ -146,6 +146,33 @@ class TestColumnLatticePoints:
             vertical += any(n[-1] == 0 for n, _ in P.facets)
         assert vertical > 50
 
+    def test_cut_values_reaching_2_60_refused(self):
+        # conv((T, T, T) + {0, 2e_1, 2e_2, 2e_3}) has 10 lattice points; its
+        # facet x + y + z <= 3T + 2 puts the cut values near 3T
+        def simplex(T):
+            return convex_hull([(T, T, T)] + [
+                tuple(T + 2 * (i == j) for j in range(3)) for i in range(3)])
+
+        assert simplex(2 ** 58).n_points == 10
+        for T in (2 ** 60, 2 ** 61):
+            with pytest.raises(ValueError, match=r"cut value reaches 2\^60"):
+                simplex(T).lattice_points
+        # the check is exact: the point (0, c) has cut values -c and c
+        def point(c):
+            return geometry._column_points(
+                [((1, 0), (-1, 0), (0, 1), (0, -1))], [(0, 0, c, -c)],
+                [(0, c)], [(0, c)])
+
+        assert point(2 ** 60 - 1) == [((0, 2 ** 60 - 1),)]
+        with pytest.raises(ValueError, match=r"cut value reaches 2\^60"):
+            point(2 ** 60)
+        # segment sums: exact at T = 2^58, refused where int64 would wrap
+        u, P = [(0, 0, 1), (1, 2, 1)], simplex(2 ** 58)
+        assert list(segment_sums(P)(u)) == [
+            S.lattice_points for S in TestSegmentSums.hulled(P, u)]
+        with pytest.raises(ValueError, match="too large for int64"):
+            list(segment_sums(simplex(2 ** 61))(u))
+
 
 def brute_force_facets(points):
     """Facets of the hull of points spanning R^3, independently of the
@@ -197,6 +224,64 @@ def seeded_clouds(rng, count):
     return out
 
 
+def brute_force_polygon(points):
+    """(vertices, facets, normalized area) of the hull of points spanning
+    R^2, independently of the library: an edge is a pair of points with
+    every other point weakly on one side, a vertex lies on two
+    non-parallel edges, and the area is the shoelace sum over the vertices
+    in their order around the boundary."""
+    pts = sorted(set(points))
+
+    def side(a, b, p):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    edges = [(a, b) for a, b in itertools.combinations(pts, 2)
+             if min(side(a, b, p) for p in pts) >= 0
+             or max(side(a, b, p) for p in pts) <= 0]
+    facets, normals = set(), {}
+    for a, b in edges:
+        n = (a[1] - b[1], b[0] - a[0])
+        g = gcd(*n)
+        n = (n[0] // g, n[1] // g)
+        if any(vdot(n, p) < vdot(n, a) for p in pts):
+            n = vneg(n)
+        facets.add((n, vdot(n, a)))
+        for p in (a, b):
+            normals.setdefault(p, set()).add(n)
+    verts = [p for p in pts if len(normals.get(p, ())) >= 2]
+    linked = {frozenset(e) for e in edges}
+    ring = [verts[0]]  # neighbouring vertices span an edge, others do not
+    while len(ring) < len(verts):
+        ring.append(next(v for v in verts if v not in ring
+                         and frozenset((ring[-1], v)) in linked))
+    area = abs(sum(a[0] * b[1] - a[1] * b[0]
+                   for a, b in zip(ring, ring[1:] + ring[:1])))
+    return tuple(verts), tuple(sorted(facets)), area
+
+
+def seeded_planar_clouds(rng, count):
+    """Clouds of 3-25 points spanning Z^2 in boxes of side 1-9; two in
+    three are collinear-heavy (points on the boundary of the box, or on a
+    few lattice lines)."""
+    out = []
+    while len(out) < count:
+        m, box = int(rng.integers(3, 26)), int(rng.integers(1, 10))
+        pts = random_points(rng, m, box, ambient=2, low=-box // 2)
+        kind = len(out) % 3
+        if kind == 1:  # on the boundary of the box
+            pts = [p[:i] + (box * int(rng.integers(2)),) + p[i + 1:]
+                   for p in pts for i in [int(rng.integers(2))]]
+        elif kind == 2:  # on up to three lines p + t d
+            lines = [(p, d) for p in pts[:3] for d in random_points(
+                rng, 1, 2, ambient=2, low=-2) if any(d)]
+            pts = [vadd(p, (t * d[0], t * d[1])) for p, d in lines
+                   for t in range(-4, 5)] + pts[:1]
+        if len(pts) > 2 and np.linalg.matrix_rank(
+                np.subtract(pts, pts[0])) == 2:
+            out.append(pts)
+    return out
+
+
 class TestHullOracle:
     def test_against_brute_force(self, rng):
         for pts in seeded_clouds(rng, 1200):
@@ -204,6 +289,26 @@ class TestHullOracle:
             facets = brute_force_facets(pts)
             assert P.facets == facets
             assert list(P.vertices) == brute_force_vertices(pts, facets)
+
+    def test_planar_against_brute_force(self, rng):
+        flat = 0
+        for i, pts in enumerate(seeded_planar_clouds(rng, 600)):
+            verts, facets, area = brute_force_polygon(pts)
+            P = convex_hull(pts)
+            assert (P.dim, P.vertices, P.facets) == (2, verts, facets)
+            assert normalized_volume(P) == area
+            if i % 3:
+                continue
+            # the same set on a tilted plane in Z^3, hulled in its chart
+            phi = UnimodularMap(random_unimodular(rng, shears=3), tuple(
+                int(x) for x in rng.integers(-4, 5, 3)))
+            P = convex_hull([phi((x, y, 0)) for x, y in pts])
+            chart = [P._chart(phi((x, y, 0)))[:2] for x, y in pts]
+            assert P.dim == 2 and P.facets == brute_force_polygon(chart)[1]
+            assert P.vertices == tuple(sorted(phi((x, y, 0)) for x, y in verts))
+            assert normalized_volume(P) == area
+            flat += 1
+        assert flat == 200
 
     @pytest.mark.parametrize("d", [6, 10])
     def test_dense_cube(self, d):

@@ -101,7 +101,7 @@ def oracle_polytope(rng, kind, q):
 
 
 def orbit_oracle_codes(rng):
-    """(q, kind, code) for random small polytopes of each kind at q in
+    """(q, kind, P, code) for random small polytopes P of each kind at q in
     {4, 5, 7, 8, 9}, each cheap enough for the projective sweep."""
     for q in (4, 5, 7, 8, 9):
         # a non-injective code has q points on a line, too many to
@@ -109,10 +109,11 @@ def orbit_oracle_codes(rng):
         kinds = ("solid", "flat", "planar") + ("wide",) * (q <= 7)
         for kind in kinds * 2:
             while True:
-                code = build_quietly(oracle_polytope(rng, kind, q), q)
+                P = oracle_polytope(rng, kind, q)
+                code = build_quietly(P, q)
                 if tc.exhaustive_cost(q, code.k, code.n) <= 3 * 10 ** 7:
                     break
-            yield q, kind, code
+            yield q, kind, P, code
 
 
 def laplace_det(M):
@@ -306,9 +307,10 @@ class TestWeightEngine:
 
 class TestBuildCode:
     def test_p8_params(self):
+        P = named_polytope("P8")
         with pytest.warns(UserWarning):
-            code = tc.build_code(named_polytope("P8"), 5)
-        assert (code.n, code.k, len(code.exponents)) == (64, 8, 8)
+            code = tc.build_code(P, 5)
+        assert (code.n, code.k, P.n_points) == (64, 8, 8)
 
     def test_q8_params(self):
         with pytest.warns(UserWarning):
@@ -326,7 +328,7 @@ class TestBuildCode:
         seg = convex_hull([(0, 0, 0), (q - 1, 0, 0)])
         with pytest.warns(UserWarning):
             code = tc.build_code(seg, q)
-        assert code.k == q - 1 < len(code.exponents)
+        assert code.k == q - 1 < seg.n_points
 
     def test_row_exponents_refused(self):
         # the row exponents prove the rank: two rows congruent mod q - 1
@@ -373,7 +375,8 @@ class TestBuildCode:
         F = make_field(5)
         P = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         code = tc.build_code(P, 5)
-        assert code.exponents == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert code.row_exponents == P.lattice_points == (
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
         assert np.all(code.matrix[0] == 1)  # the constant monomial
 
     def test_basis_matches_elimination(self, rng):
@@ -386,7 +389,7 @@ class TestBuildCode:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 code = tc.build_code(P, q)
-            F, pts = code.field, list(code.exponents)
+            F, pts = code.field, list(P.lattice_points)
             grid = np.indices((q - 1,) * n).reshape(n, -1)
             evals = F.exp[(np.array(pts) @ grid) % (q - 1)]
             basis = tc._echelon(F, evals.T)[0]
@@ -395,7 +398,7 @@ class TestBuildCode:
             assert code.k == len(basis)
             assert len(tc._echelon(F, code.matrix)[0]) == code.k
             assert code.matrix.dtype == np.min_scalar_type(q - 1)
-            kinds.add(code.k == len(code.exponents))
+            kinds.add(code.k == len(pts))
         assert kinds == {True, False}
 
 
@@ -489,12 +492,12 @@ class TestMinWeight:
         # the pinned sweep against the frame sweep that the pinning
         # replaced and the projective sweep, one pinned row
         reduced = 0
-        for q, kind, code in orbit_oracle_codes(rng):
+        for q, kind, P, code in orbit_oracle_codes(rng):
             assert len(code.row_exponents) == code.k
-            assert (code.k == len(code.exponents)) == (kind != "wide")
+            assert (code.k == P.n_points) == (kind != "wide")
             assert tc.min_weight_exhaustive(code) == frame_min_weight(code) \
                 == frame_min_weight(code, projective_levels(code.k)), \
-                (q, kind, code.exponents)
+                (q, kind, P)
             projective = tc.exhaustive_cost(q, code.k, code.n)
             reduced += tc._sweep_plan(code)[1] < projective
         assert reduced >= 20
@@ -502,9 +505,9 @@ class TestMinWeight:
     def test_translates_match_multi_set_bz(self, rng):
         # BZ on one information set with the averaging bound, over the
         # torus translates of that set, against the exhaustive sweep
-        for q, kind, code in orbit_oracle_codes(rng):
+        for q, kind, P, code in orbit_oracle_codes(rng):
             assert tc.min_weight_bz(code) == tc.min_weight_exhaustive(code), \
-                (q, kind, code.exponents)
+                (q, kind, P)
         # tiny tori: one point (q = 2), and T0 at q = 3
         for name, q, d in (("P8", 2, 1), ("T0", 3, 2)):
             code = build_quietly(named_polytope(name), q)
@@ -575,7 +578,7 @@ class TestSweepPlan:
                 == tc._sweep_plan(code)[1] // code.n
 
     def test_pinning_matches_minor_gcd(self, rng):
-        for q, kind, code in orbit_oracle_codes(rng):
+        for q, kind, P, code in orbit_oracle_codes(rng):
             plan = {tuple(f): sorted(map(tuple, b.tolist()))
                     for b, f in tc._sweep_plan(code)[0]}
             assert plan == pinning_plan(code), (q, kind, code.row_exponents)
