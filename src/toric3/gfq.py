@@ -13,12 +13,18 @@ non-leading coefficients, and the generator is the smallest element (in
 the integer encoding) of multiplicative order q - 1.
 
 Torus scans run on the discrete logs l of a point of (F_q^*)^n: a term
-c x^a has log log(c) + sum_i (a_i mod q-1) l_i, read from an exp table
-tiled n+1 times.  Term values add in one int64 per point: XOR of the
-codes in characteristic 2, else base-p digits in b-bit fields, b the bit
-length of (terms)(p-1); when e*b > 63 the fields narrow to 63//e bits
-and are reduced mod p every few terms.  Slabs of whole rows bound the
-scan's memory, and a torus of more than 2^32 points is refused.
+c x^a has log log(c) + sum_i (a_i mod m) l_i, m = q - 1.  Term values
+add as one packed integer per point, in the narrowest unsigned dtype:
+XOR of the codes in characteristic 2, else base-p digits in b-bit
+fields, b the bit length of (terms)(p-1); when e*b > 63 the fields
+narrow to 63//e bits and are reduced mod p every few terms.  For odd p
+a sum of e*b <= 20 bits is tested for zero in a table over all packed
+values.
+A term's values on a torus row of lead log s are row s of the m x m
+table T[s, j] = packed(g^(s + a_n j)), one per distinct a_n mod m, when
+these fit in 2^20 cells and in the torus (most trivariate scans); else
+they are gathered from exp.  Slabs of whole rows bound the scan's
+memory, and a torus of more than 2^32 points is refused.
 """
 
 from __future__ import annotations
@@ -230,6 +236,14 @@ class FiniteField:
             out |= ((acc >> bits * j) & ((1 << bits) - 1)) % self.p << bits * j
         return out
 
+    def zero_sums(self, bits):
+        """Table over every packed value of ``bits``-bit fields: True where
+        each field is 0 mod p."""
+        k = np.indices((-(-(1 << bits) // self.p),) * self.e)
+        out = np.zeros(1 << self.e * bits, dtype=bool)
+        out[(self.p << bits * np.arange(self.e)) @ k.reshape(self.e, -1)] = 1
+        return out
+
     def __repr__(self):
         return f"FiniteField(q={self.q})"
 
@@ -271,6 +285,8 @@ class LaurentPolynomial:
 
 
 _SLAB = 1 << 14  # torus points per slab of the zero scan (or one row)
+_TABLE_CELLS = 1 << 20  # cells of the row tables of one scan
+_ZERO_BITS = 20  # widest packed sum read off the zero table
 
 
 def _check_torus(q, n):
@@ -289,24 +305,36 @@ def _zero_slabs(f):
                     dtype=np.int64)  # reduced as Python ints: unbounded
     clog, n = F.log[[c for _, c in f.terms]], exps.shape[1]
     bits = 1 if F.p == 2 else (N * (F.p - 1)).bit_length()
-    period = N  # terms between reductions mod p, which keep e * bits <= 63
+    period = N + 1  # terms between reductions mod p, which keep e*bits <= 63
     if F.e * bits > 63:
         bits, period = 63 // F.e, (2 ** (63 // F.e) - 1) // (F.p - 1) - 1
     add = np.bitwise_xor if F.p == 2 else np.add
-    vals = np.tile(F.packed(bits)[F.exp], n + 1)  # logs up to (n+1)(m-1)
+    dtype = np.min_scalar_type((1 << F.e * bits) - 1)
+    vals = np.tile(F.packed(bits)[F.exp].astype(dtype), 2)  # logs below 2m
     ar, rows, step = np.arange(m), m ** (n - 1), max(1, _SLAB // m)
+    last, tables = exps[:, -1].tolist(), None
+    if len(set(last)) * m * m <= min(m ** n, _TABLE_CELLS):
+        # row s of T_e holds the term's values on a row of lead log s
+        tables = {e: vals[ar[:, None] + e * ar % m] for e in set(last)}
+    zero = F.zero_sums(bits) if F.p > 2 and F.e * bits <= _ZERO_BITS else None
     for r0 in range(0, rows, step):
         r = np.arange(r0, min(r0 + step, rows))
         lead = np.repeat(clog[:, None], r.size, axis=1)
         for i in range(n - 2, -1, -1):  # leading logs, last one fastest
             r, li = np.divmod(r, m)
-            lead += exps[:, i, None] * li % m
-        acc = np.zeros((r.size, m), dtype=np.int64)
-        for t in range(N):
-            add(acc, vals[lead[t, :, None] + exps[t, -1] * ar % m], out=acc)
-            if (t + 1) % period == 0 or t == N - 1:
+            lead += exps[:, i, None] * li
+        lead %= m  # each term's log at the first column of each row
+        acc, row = np.zeros((2, r.size, m), dtype=dtype)
+        for t, e in enumerate(last):
+            if tables is None:
+                np.take(vals, lead[t, :, None] + e * ar % m, out=row,
+                        mode="clip")
+            else:
+                np.take(tables[e], lead[t], axis=0, out=row, mode="clip")
+            add(acc, row, out=acc)
+            if (t + 1) % period == 0:
                 acc = F.reduce_packed(acc, bits)
-        yield acc == 0
+        yield F.reduce_packed(acc, bits) == 0 if zero is None else zero[acc]
 
 
 def count_zeros(f):
@@ -325,13 +353,13 @@ def common_zero_count(f, g):
 
 def multiply(f, g):
     """Product polynomial over the common field."""
-    F = f.field
-    out = {}
-    for a, c in f.terms:
-        for b, d in g.terms:
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = F.add(out.get(key, 0), F.mul(c, d))
-    return LaurentPolynomial.make(F, out)
+    F, row = f.field, {}  # exponent sum -> its row of digit sums
+    keys = [row.setdefault(tuple(x + y for x, y in zip(a, b)), len(row))
+            for a, _ in f.terms for b, _ in g.terms]
+    prods = F.mul(*np.ix_([c for _, c in f.terms], [d for _, d in g.terms]))
+    digits = np.zeros((len(row), F.e), dtype=np.int64)
+    np.add.at(digits, keys, F.codes_to_digits(prods.ravel()))
+    return LaurentPolynomial.make(F, dict(zip(row, F.digits_to_codes(digits))))
 
 
 def monomial_substitution(f, phi):

@@ -238,13 +238,15 @@ def oracle_polynomials(rng, F, n, count):
     return polys
 
 
-def digit_tensor_zero_mask(f, chunk=256):
-    """The earlier scan, run on chunks of points: the base-p digits of
-    every term value at every point, summed and reduced mod p."""
+def digit_tensor_zero_mask(f, chunk=256, grid=None):
+    """The earlier scan, run on chunks of points (the whole torus, or the
+    rows of logs in ``grid``): the base-p digits of every term value at
+    every point, summed and reduced mod p."""
     F, n, m = f.field, f.n, f.field.q - 1
     exps = np.array(f.support, dtype=np.int64) % m
     clogs = F.log[[c for _, c in f.terms]]
-    grid = np.indices((m,) * n).reshape(n, -1).T
+    if grid is None:
+        grid = np.indices((m,) * n).reshape(n, -1).T
     masks = []
     for s in range(0, len(grid), chunk):
         logs = (grid[s:s + chunk] @ exps.T + clogs) % m
@@ -271,6 +273,61 @@ class TestScanOracles:
                     assert count_zeros(f) == len(zf), (n, f.terms)
                     g, zg = polys[i - 1], zero_sets[i - 1]
                     assert common_zero_count(f, g) == len(zf & zg)
+
+    @pytest.mark.parametrize("q", [25, 27, 49, 64, 81])
+    def test_trivariate_row_tables_and_gather(self, q, monkeypatch):
+        # odd-p extension fields and one of characteristic 2, on the row
+        # tables (the default for these polynomials) and on the gather
+        # path (no table budget); 30 terms at q = 81 take e * bits past
+        # the zero table, to the reduction of every field
+        F, m = make_field(q), q - 1
+        rng = random.Random(2000 + q)
+        polys = oracle_polynomials(rng, F, 3, 4)
+        for f in polys:
+            assert len({a[-1] % m for a in f.support}) * m * m <= \
+                min(m ** 3, gfq._TABLE_CELLS)
+        polys.append(LaurentPolynomial.make(F, {
+            tuple(rng.randint(-q, 2 * q) for _ in range(3)):
+            rng.randrange(1, q) for _ in range(30)}))
+        masks = [digit_tensor_zero_mask(f, chunk=4096) for f in polys]
+        assert masks[0].all()  # cancels everywhere
+        for budget in (gfq._TABLE_CELLS, 0):
+            monkeypatch.setattr(gfq, "_TABLE_CELLS", budget)
+            for i, (f, zf) in enumerate(zip(polys, masks)):
+                got = np.concatenate([z.ravel() for z in gfq._zero_slabs(f)])
+                assert np.array_equal(got, zf), (budget, f.terms)
+                assert count_zeros(f) == int(zf.sum())
+                both = int((zf & masks[i - 1]).sum())
+                assert common_zero_count(f, polys[i - 1]) == both
+
+    @pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+    def test_zero_table_matches_reduction(self, q):
+        # on every packed value of the fields that the scan reads off it
+        F, checked = make_field(q), 0
+        for terms in (1, 2, 5, 8, 15, 40):
+            bits = (terms * (F.p - 1)).bit_length()
+            if F.e * bits <= gfq._ZERO_BITS:
+                v = np.arange(1 << F.e * bits)
+                assert np.array_equal(F.zero_sums(bits),
+                                      F.reduce_packed(v, bits) == 0)
+                checked += 1
+        assert checked >= 4
+
+    def test_tables_respect_cell_budget_at_q1024(self):
+        # twelve distinct last exponents would need 12 m^2 cells of row
+        # tables (25 MB of uint16), over the budget: the gather path runs,
+        # and the first slab of the 2^30-point torus costs little memory
+        F, m = make_field(1024), 1023
+        f = LaurentPolynomial.make(F, {(k, 5 * k, 7 * k + 1): k + 1
+                                       for k in range(12)})
+        assert len({a[-1] % m for a in f.support}) * m * m > gfq._TABLE_CELLS
+        slab, peak = traced_peak(next, gfq._zero_slabs(f))
+        rows = gfq._SLAB // m
+        assert slab.shape == (rows, m)
+        assert peak < 2 ** 20, peak
+        grid = np.indices((1, rows, m)).reshape(3, -1).T
+        want = digit_tensor_zero_mask(f, grid=grid)
+        assert np.array_equal(slab.ravel(), want) and want.any()
 
     @pytest.mark.parametrize("q,terms", [(2187, 300), (6561, 150)])
     def test_periodic_reduction_matches_digit_tensor(self, q, terms):
@@ -338,7 +395,46 @@ class TestScanOracles:
             LaurentPolynomial.make(F, {(1, 0): 1, (0, 1, 1): 1})
 
 
+def scalar_product(f, g):
+    """The product by one scalar field add and mul per pair of terms."""
+    F, out = f.field, {}
+    for a, c in f.terms:
+        for b, d in g.terms:
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = F.add(out.get(key, 0), F.mul(c, d))
+    return LaurentPolynomial.make(F, out)
+
+
 class TestMultiplication:
+    @pytest.mark.parametrize("q", [4, 7, 9, 16, 25])
+    def test_matches_scalar_loop(self, q):
+        F = make_field(q)
+        rng = random.Random(300 + q)
+        one, x, y = ((0, 0), (1, 0), (0, 1))
+        m1 = F.neg(1)
+
+        def poly(terms):
+            return LaurentPolynomial.make(F, dict(terms))
+        # (1 + x + x^2)(1 - x) = 1 - x^3: four of six products cancel
+        geom = poly([(one, 1), (x, 1), ((2, 0), 1)])
+        assert multiply(geom, poly([(one, 1), (x, m1)])) == \
+            poly([(one, 1), ((3, 0), m1)])
+        pairs = [(poly([(x, 1), (y, 1)]), poly([(x, 1), (y, m1)])),
+                 (geom, poly([])), (poly([]), geom)]
+        for _ in range(12):  # small boxes: many products share a key
+            pairs.append(tuple(
+                poly([((rng.randint(-2, 2), rng.randint(0, 3)),
+                       rng.randrange(q)) for _ in range(rng.randint(1, 9))])
+                for _ in range(2)))
+        big = 10 ** 20
+        pairs.append((poly([((big, -big), 1), (x, 2 % q)]),
+                      poly([((-big, big), 1), (y, 1)])))
+        for f, g in pairs:
+            want = scalar_product(f, g)
+            assert multiply(f, g) == want, (f.terms, g.terms)
+            assert all(type(a[0]) is int and type(c) is int
+                       for a, c in multiply(f, g).terms)
+
     def test_product_zero_sets(self, rng):
         F = make_field(7)
         P = named_polytope("S1")

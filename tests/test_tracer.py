@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from toric3 import geometry, toriccode
+from toric3 import geometry, gfq, toriccode
 from toric3.catalog import named_polytope
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -44,6 +44,11 @@ def test_tracer_records_the_patched_names(spans_module):
         code = toriccode.build_code(geometry.convex_hull(
             [(0, 0, 0), (1, 0, 0), (0, 1, 0)]), 3)
         assert toriccode.min_weight(code, engine="exhaustive") == 4
+        assert toriccode.min_weight(code, engine="bz") == 4
+        F = gfq.make_field(5)
+        f = gfq.LaurentPolynomial.make(F, {(0, 0, 0): 1, (1, 0, 0): 1,
+                                           (0, 1, 0): 1})
+        assert gfq.count_zeros(f) == gfq.common_zero_count(f, f) == 12
         names = {span[0] for span in tracer.take()}
     finally:
         tracer.uninstall()
@@ -53,5 +58,7 @@ def test_tracer_records_the_patched_names(spans_module):
             "geometry.RationalHalfSpaceSystem.integer_points",
             "geometry.RationalHalfSpaceSystem.primitive_points",
             "toriccode.build_code", "toriccode.min_weight",
-            "toriccode.exhaustive.prime", "gfq.field_setup"} <= names
+            "toriccode.exhaustive.prime", "toriccode.min_weight_bz",
+            "gfq.field_setup", "gfq.count_zeros",
+            "gfq.common_zero_count"} <= names
     assert snapshot(spans_module) == before
