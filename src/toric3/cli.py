@@ -5,33 +5,18 @@ zeros, code, bounds, verify.  Output is JSON (schema "toric3/1") unless
 a CSV report is requested.  Exit codes: 0 success, 1 verify mismatch,
 2 precondition error, 3 budget exceeded.
 
-The --threads value (or the TORIC3_THREADS environment variable) caps
-the BLAS worker pool; it is accepted before or after the subcommand,
-overrides inherited OMP/OpenBLAS/MKL thread settings, is applied before
-numpy is imported, and results never depend on it; a value that is not
-a positive integer exits 2.  Warnings go to stderr, one line each.
+The BLAS worker pool follows OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS, which the CLI leaves as it finds them; results never
+depend on it.  Warnings go to stderr, one line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from fractions import Fraction
-
-
-def _apply_threads(args):
-    n, source = getattr(args, "threads", None), "--threads"
-    if n is None:
-        n, source = os.environ.get("TORIC3_THREADS") or None, "TORIC3_THREADS"
-    if n is not None:
-        if not (n.strip().isdecimal() and int(n) > 0):
-            raise ValueError(f"{source} must be a positive integer: {n!r}")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(n))
 
 
 def _jsonable(x):
@@ -435,21 +420,13 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _build_parser():
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", default=argparse.SUPPRESS,
-                         help="cap for the BLAS worker pool "
-                              "(or TORIC3_THREADS); results are unaffected")
     ap = argparse.ArgumentParser(
-        prog="toric3", parents=[threads],
-        description="Minkowski length machinery and toric 3-fold codes "
-                    "over finite fields, in exact arithmetic.")
+        prog="toric3", description="Minkowski length machinery and toric "
+        "3-fold codes over finite fields, in exact arithmetic.")
     sub = ap.add_subparsers(dest="command")
 
-    def add_parser(name, help_):
-        return sub.add_parser(name, help=help_, parents=[threads])
-
     def poly_cmd(name, fn, help_):
-        p = add_parser(name, help_)
+        p = sub.add_parser(name, help=help_)
         p.add_argument("polytope", help="@catalog-name or polytope JSON file")
         p.set_defaults(fn=fn)
         return p
@@ -466,14 +443,16 @@ def _build_parser():
     poly_cmd("triangles", _cmd_triangles,
              "triangles T with L(T) = 1 and L(P + T) = 2")
     poly_cmd("tetra", _cmd_tetra, "tetrahedra within P's difference set")
-    p = add_parser("pair", "classify a maximal pair of L = 1 summands")
+    p = sub.add_parser("pair",
+                       help="classify a maximal pair of L = 1 summands")
     p.add_argument("p"), p.add_argument("q")
     p.set_defaults(fn=_cmd_pair)
-    p = add_parser("triple", "classify a maximal triple of L = 1 summands")
+    p = sub.add_parser("triple",
+                       help="classify a maximal triple of L = 1 summands")
     p.add_argument("p"), p.add_argument("q"), p.add_argument("r")
     p.set_defaults(fn=_cmd_triple)
-    p = add_parser("zeros", "count torus zeros of a polynomial file "
-                            "(one 'c a1 a2 ...' term per line)")
+    p = sub.add_parser("zeros", help="count torus zeros of a polynomial "
+                       "file (one 'c a1 a2 ...' term per line)")
     p.add_argument("polynomial")
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(fn=_cmd_zeros)
@@ -482,8 +461,8 @@ def _build_parser():
     p.add_argument("--engine", choices=("auto", "exhaustive", "bz"),
                    default="auto")
     p.add_argument("--report", choices=("json", "csv"), default="json")
-    p = add_parser("bounds", "bound reports for a polytope, or a single "
-                             "formula evaluation")
+    p = sub.add_parser("bounds", help="bound reports for a polytope, or a "
+                       "single formula evaluation")
     p.add_argument("polytope", nargs="?")
     p.add_argument("--q", type=int)
     p.add_argument("--engine", choices=("auto", "exhaustive", "bz"),
@@ -491,7 +470,7 @@ def _build_parser():
     p.add_argument("--formula")
     p.add_argument("--args", nargs="*")
     p.set_defaults(fn=_cmd_bounds)
-    p = add_parser("verify", "run a reference-value suite")
+    p = sub.add_parser("verify", help="run a reference-value suite")
     p.add_argument("suite")
     p.add_argument("--long", action="store_true")
     p.set_defaults(fn=_cmd_verify)
@@ -508,7 +487,6 @@ def run(argv):
         ap.print_help()
         return 2
     try:
-        _apply_threads(args)  # before the command imports numpy
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)

@@ -13,6 +13,9 @@ facets and edges (``segment_sums``), a host's directions in chunks of at
 most 2^14 padded cells.  A slab region reads its rows and its box off
 the hull of its +-normals, and a volume or an area is read off the
 hull's triangles.
+A polytope's dimension is read off its hull's start simplex (``_frame``),
+and one Hermite elimination (``_hnf_transform``) serves the charts, the
+normal forms and the inverse maps (a unimodular M has Hermite form I).
 A lower-dimensional polytope carries one chart, the affine unimodular
 map x -> U (x - p0) for p0 its least point and U the transform that puts
 the columns A^T of its difference vectors into Hermite normal form
@@ -120,55 +123,6 @@ def mat_transpose(M):
     return tuple(zip(*M))
 
 
-def _adjugate(M):
-    """Adjugate of a square integer matrix of size <= 3:
-    adj(M) M = det(M) I."""
-    n = len(M)
-    if n == 1:
-        return ((1,),)
-    if n == 2:
-        (a, b), (c, e) = M
-        return ((e, -b), (-c, a))
-
-    def cof(r, c):  # cofactor of M[r][c]; cyclic indices carry the sign
-        r1, r2, c1, c2 = (r + 1) % 3, (r + 2) % 3, (c + 1) % 3, (c + 2) % 3
-        return M[r1][c1] * M[r2][c2] - M[r1][c2] * M[r2][c1]
-
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-
-
-def mat_inverse_unimodular(M):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    d = mat_det(M)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(x * d for x in row) for row in _adjugate(M))
-
-
-def int_rank(vectors):
-    """Rank over Q of a list of integer vectors (fraction-free elimination)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                a, b = pr[col], rows[r][col]
-                rows[r] = [a * x - b * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (with transform)
 
@@ -219,10 +173,6 @@ class UnimodularMap:
         if mat_det(self.matrix) not in (1, -1):
             raise ValueError("determinant must be +-1")
 
-    @property
-    def dim(self):
-        return len(self.translation)
-
     def __call__(self, v):
         return vadd(mat_vec(self.matrix, v), self.translation)
 
@@ -236,7 +186,8 @@ class UnimodularMap:
         return UnimodularMap(M, t)
 
     def inverse(self):
-        Mi = mat_inverse_unimodular(self.matrix)
+        # det M = +-1 makes the Hermite form of M the identity: U = M^-1
+        Mi = _hnf_transform(self.matrix)
         return UnimodularMap(Mi, vneg(mat_vec(Mi, self.translation)))
 
     @staticmethod
@@ -247,9 +198,27 @@ class UnimodularMap:
 # ---------------------------------------------------------------------------
 # convex hull
 
-def _hull_3d(pts):
+def _frame(pts):
+    """An affine basis of aff(pts) for distinct points in Z^2 or Z^3 (run
+    as (x, y, 0)), picked greedily: pts[0], pts[1], the first point off
+    their line and the first point off their plane.  dim = len - 1."""
+    if len(pts) == 1:
+        return pts
+    lift = pts if len(pts[0]) == 3 else [p + (0,) for p in pts]
+    a, u = lift[0], vsub(lift[1], lift[0])
+    i = next((i for i, p in enumerate(lift) if any(cross(u, vsub(p, a)))),
+             None)
+    if i is None:
+        return pts[:2]
+    n = cross(u, vsub(lift[i], a))
+    j = next((j for j, p in enumerate(lift) if vdot(n, vsub(p, a))), None)
+    return [pts[k] for k in (0, 1, i, j) if k is not None]
+
+
+def _hull_3d(pts, frame):
     """Vertices, facets and normalized volume of the hull of distinct
-    points spanning Z^3 or Z^2.
+    points spanning Z^3 or Z^2, started from the tetrahedron (the
+    triangle) ``frame = _frame(pts)``.
 
     A planar set P is hulled as the pyramid over it, P x {0} and the apex
     (p0, 1).  Its base vertices are those of P, its side facet (n, b) over
@@ -273,8 +242,10 @@ def _hull_3d(pts):
     normalized volume.
     """
     if len(pts[0]) == 2:
-        verts, facets, vol = _hull_3d([pts[0] + (1,)]
-                                      + [p + (0,) for p in pts])
+        def pyramid(s):
+            return [pts[0] + (1,)] + [p + (0,) for p in s]
+
+        verts, facets, vol = _hull_3d(pyramid(pts), pyramid(frame))
         return ([v[:2] for v in verts if not v[2]], tuple(sorted(
             (n[:2], b) for n, b in facets if any(n[:2]))), vol)
     # 3D dot and cross products spelled out: they run for every triangle
@@ -287,11 +258,9 @@ def _hull_3d(pts):
         x2, y2, z2 = w[0] - u[0], w[1] - u[1], w[2] - u[2]
         return (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
 
-    # a starting tetrahedron with det(b - a, c - a, d - a) > 0
-    a, b = pts[0], pts[1]
-    c = next(p for p in pts if any(normal(a, b, p)))
+    # the starting tetrahedron, with det(b - a, c - a, d - a) > 0
+    a, b, c, d = frame
     n = normal(a, b, c)
-    d = next(p for p in pts if dot(n, p) != dot(n, a))
     if dot(n, d) < dot(n, a):
         b, c = c, b
     tris = {}       # id -> (corners, outward normal, offset)
@@ -474,6 +443,12 @@ class Polytope:
     def _compute_points(self):
         if self.dim == 0:
             return self.vertices
+        if self.ambient == 1:  # the inner segment of a chart: no box
+            (lo,), (hi,) = self.vertices
+            if hi - lo >= _MAX_CELLS:
+                raise ValueError(f"lattice point segment too large: "
+                                 f"{hi - lo + 1} points > 2^26")
+            return tuple((v,) for v in range(lo, hi + 1))
         if self.dim < self.ambient:
             lift, pad = self._chart.inverse(), (0,) * (self.ambient - self.dim)
             return tuple(sorted(lift(c + pad)
@@ -507,24 +482,21 @@ def convex_hull(points):
         raise ValueError("only ambient dimensions 2 and 3 are supported")
     if any(len(p) != n for p in pts):
         raise ValueError("mixed dimensions in input")
-    p0 = pts[0]
-    diffs = [vsub(p, p0) for p in pts[1:]]
-    dim = int_rank(diffs)
-
+    p0, frame = pts[0], _frame(pts)
+    dim = len(frame) - 1
     if dim == 0:
         return Polytope(n, 0, (p0,))
     if dim == n:
-        return Polytope(n, n, *_hull_3d(pts)[:2])
+        return Polytope(n, n, *_hull_3d(pts, frame)[:2])
 
     # lower-dimensional: hull the chart coordinates over aff(P) & Z^n
-    U = _hnf_transform(mat_transpose(diffs))
+    U = _hnf_transform(mat_transpose([vsub(p, p0) for p in pts[1:]]))
     chart = UnimodularMap(U, vneg(mat_vec(U, p0)))
     coords = [chart(p)[:dim] for p in pts]
     if dim == 1:
         lo, hi = min(coords), max(coords)
         inner = Polytope(1, 1, (lo, hi), facets=(((1,), lo[0]),
                                                   ((-1,), -hi[0])))
-        inner._points = tuple((v,) for v in range(lo[0], hi[0] + 1))  # no box
     else:
         inner = convex_hull(coords)
     back = dict(zip(coords, pts))
@@ -648,7 +620,7 @@ def normalized_volume(P):
         return normalized_volume(P._inner)
     if P.dim == 1:
         return P.vertices[-1][0] - P.vertices[0][0]
-    return _hull_3d(P.vertices)[2]
+    return _hull_3d(P.vertices, _frame(P.vertices))[2]
 
 
 def ambient_vol3(P):
@@ -888,7 +860,7 @@ def tuple_equivalent(Ps, Qs):
     key_q, maps_q = _normal_form(partner)
     if key_p != key_q:
         return None
-    back = mat_inverse_unimodular(maps_q[0].matrix)
+    back = maps_q[0].inverse().matrix
     for psi in maps_p:
         M = mat_mul(back, psi.matrix)
         translations = []

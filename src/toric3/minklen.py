@@ -315,14 +315,7 @@ def find_tetra(P, search=None):
 # pair / triple classification
 
 @dataclass(frozen=True)
-class PairClass:
-    label: str
-    length: int
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class TripleClass:
+class Classification:
     label: str
     length: int
     witness: object = None
@@ -371,13 +364,13 @@ def classify_pair(P, Q, search=None):
     if minkowski_length(P, cs)[0] != 1 or minkowski_length(Q, cs)[0] != 1:
         raise ValueError("classify_pair requires L(P) = L(Q) = 1")
     if cs.reach(*_pack(minkowski_sum(P, Q).lattice_points), 3):
-        return PairClass("length>2", 3)
+        return Classification("length>2", 3)
     if min(P.n_points, Q.n_points) <= 3:
-        return PairClass("unclassified-small", 2)
+        return Classification("unclassified-small", 2)
     label, wit = _match_tuple([P, Q], _PAIR_CATALOG)
     if label is None:
-        return PairClass("no-match", 2)
-    return PairClass(label, 2, wit)
+        return Classification("no-match", 2)
+    return Classification(label, 2, wit)
 
 
 def classify_triple(P, Q, R, search=None):
@@ -392,11 +385,11 @@ def classify_triple(P, Q, R, search=None):
     frame, S = _pack(minkowski_sum(minkowski_sum(P, Q), R).lattice_points)
     if not (cs.reach(frame, S, 3) and not cs.reach(frame, S, 4)):
         length = 4 if cs.reach(frame, S, 4) else 2
-        return TripleClass("length!=3", length)
+        return Classification("length!=3", length)
     label, wit = _match_tuple([P, Q, R], _TRIPLE_CATALOG)
     if label is None:
-        return TripleClass("no-match", 3)
-    return TripleClass(label, 3, wit)
+        return Classification("no-match", 3)
+    return Classification(label, 3, wit)
 
 
 # ---------------------------------------------------------------------------

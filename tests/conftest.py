@@ -17,9 +17,9 @@ def random_polytope(rng, count=5, box=4, ambient=3, low=0):
 
 def random_unimodular(rng, n=3, shears=6):
     """Random element of GL(n, Z) with determinant +-1, via shears and
-    signed permutations."""
+    signed permutations (signs only for n = 1)."""
     m = np.eye(n, dtype=np.int64)
-    for _ in range(shears):
+    for _ in range(shears if n > 1 else 0):
         i, j = rng.choice(n, size=2, replace=False)
         s = np.eye(n, dtype=np.int64)
         s[i, j] = int(rng.integers(-2, 3))

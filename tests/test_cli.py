@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,18 @@ class TestLengthAndSearches:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: coordinates too large: a cut value reaches 2^60"]
+
+    @pytest.mark.parametrize("cmd", ["info", "length"])
+    def test_long_segment_rejected(self, tmp_path, capsys, cmd):
+        # a 2^40-long segment has too many lattice points to enumerate
+        f = tmp_path / "segment.json"
+        f.write_text(json.dumps({"vertices": [[0, 0, 0], [2 ** 40, 0, 0]]}))
+        assert cli.run([cmd, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: lattice point segment too large: {2 ** 40 + 1} points"
+            " > 2^26"]
 
     def test_triangles_t2_empty(self, capsys):
         rc, out = run_json(capsys, ["triangles", "@T2"])
@@ -496,6 +509,21 @@ class TestReadme:
         assert named == set(sub.choices)
         assert suites == set(cli._SUITES)
 
+    def test_options_match_parser(self):
+        # every subcommand and --option of the parser appears in the
+        # "Command line" section, and every --flag named there parses
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ")[0]
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {o for p in sub.choices.values() for a in p._actions
+                   for o in a.option_strings if o not in ("-h", "--help")}
+        words = set(re.findall(r"[\w-]+", section))
+        assert set(sub.choices) - words == set()
+        assert options - words == set()
+        assert set(re.findall(r"(?<![\w-])--\w[\w-]*", section)) - options \
+            == set()
+
 
 class TestVerify:
     def test_table1_passes(self, capsys):
@@ -530,64 +558,14 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli.run(["frobnicate"]) == 2
 
-    def test_threads_flag_accepted(self, capsys):
-        rc, out = run_json(capsys, ["--threads", "1", "info", "@S1"])
-        assert rc == 0 and out["points"] == 4
-
-    def test_threads_flag_after_subcommand(self, capsys):
-        rc, out = run_json(capsys, ["info", "@S1", "--threads", "1"])
-        assert rc == 0 and out["points"] == 4
-
 
 _POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestThreadSettings:
-    @pytest.fixture
-    def inherited(self, monkeypatch):
-        monkeypatch.delenv("TORIC3_THREADS", raising=False)
+    def test_inherited_kept_without_setting(self, monkeypatch, capsys):
+        # the BLAS reads its pool size from these; the CLI leaves them be
         for var in _POOLS:
             monkeypatch.setenv(var, "4")
-        return monkeypatch
-
-    def pools(self):
-        import os
-        return [os.environ[var] for var in _POOLS]
-
-    def test_flag_overrides_inherited(self, inherited, capsys):
-        assert cli.run(["info", "@S1", "--threads", "1"]) == 0
-        assert self.pools() == ["1", "1", "1"]
-
-    def test_env_overrides_inherited(self, inherited, capsys):
-        inherited.setenv("TORIC3_THREADS", "2")
         assert cli.run(["info", "@S1"]) == 0
-        assert self.pools() == ["2", "2", "2"]
-
-    def test_inherited_kept_without_setting(self, inherited, capsys):
-        assert cli.run(["info", "@S1"]) == 0
-        assert self.pools() == ["4", "4", "4"]
-
-    @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3"],
-                                      ["--threads=abc"], ["--threads", "1.5"]])
-    def test_bad_flag_value(self, inherited, capsys, argv):
-        assert cli.run(["info", "@S1"] + argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "error: --threads must be a positive integer: ")
-        assert self.pools() == ["4", "4", "4"]
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_env_value(self, inherited, capsys, value):
-        inherited.setenv("TORIC3_THREADS", value)
-        assert cli.run(["info", "@S1"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: TORIC3_THREADS must be a positive integer: "
-                       f"{value!r}"]
-        assert self.pools() == ["4", "4", "4"]
-
-    def test_flag_wins_over_bad_env_value(self, inherited, capsys):
-        inherited.setenv("TORIC3_THREADS", "abc")
-        assert cli.run(["info", "@S1", "--threads", "2"]) == 0
-        assert self.pools() == ["2", "2", "2"]
+        assert [os.environ[var] for var in _POOLS] == ["4", "4", "4"]

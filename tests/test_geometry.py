@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -10,9 +11,9 @@ from conftest import (random_affine_map, random_points, random_polytope,
 from toric3 import geometry
 from toric3.catalog import catalog_names, named_polytope
 from toric3.geometry import (_BATCH_CELLS, Polytope, RationalHalfSpaceSystem,
-                             UnimodularMap, _adjugate, _hnf_transform,
+                             UnimodularMap, _frame, _hnf_transform,
                              _normal_form, ambient_vol3, canonical_sign,
-                             convex_hull, cross, equivalent, erode, int_rank,
+                             convex_hull, cross, equivalent, erode,
                              is_primitive, lattice_points, lattice_width,
                              mat_det, mat_mul, mat_vec, minkowski_sum,
                              mixed_area, normalized_volume, primitive,
@@ -23,6 +24,35 @@ from toric3.minklen import good_polytope
 
 UNIT_CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 SIMPLEX = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def float_rank(vectors):
+    """Rank over Q of integer vectors with small entries, in floating
+    point: an oracle independent of the exact elimination under test."""
+    return int(np.linalg.matrix_rank(np.array(vectors, dtype=float))) \
+        if vectors else 0
+
+
+def adjugate(M):
+    """adj(M), with adj(M) M = det(M) I, from cofactors by ``mat_det``."""
+    n = len(M)
+    if n == 1:
+        return ((1,),)
+
+    def minor(r, c):
+        return [row[:c] + row[c + 1:] for i, row in enumerate(M) if i != r]
+
+    return tuple(tuple((-1) ** (i + j) * mat_det(minor(j, i))
+                       for j in range(n)) for i in range(n))
+
+
+def hnf_rank(vectors):
+    """Rank of integer vectors of any size: the nonzero rows of U D for
+    the Hermite transform U of the matrix D with rows ``vectors``."""
+    if not vectors:
+        return 0
+    D = tuple(map(tuple, vectors))
+    return sum(map(any, mat_mul(_hnf_transform(D), D)))
 
 
 class TestConvexHull:
@@ -44,6 +74,24 @@ class TestConvexHull:
         assert set(seg.vertices) == {(1, 2, 3), (3, 4, 5)}
         pt = convex_hull([(5, -1, 2)])
         assert pt.dim == 0 and pt.n_points == 1
+
+    def test_long_segment_points_lazy(self, monkeypatch):
+        # a segment's points come only when asked for, at most 2^26 of
+        # them: a 2^40-long one hulls at once and refuses its points
+        T = 2 ** 40
+        for pts in ([(0, 0, 0), (T, 0, 0), (5, 0, 0)],
+                    [(1, -1), (1 + T, -1 + 3 * T)],
+                    [(0, 0, 0), (2 ** 26, 0, 0)]):
+            seg = convex_hull(pts)
+            assert seg.dim == 1
+            assert seg.vertices == (min(pts), max(pts))
+            with pytest.raises(ValueError, match="> 2\\^26"):
+                seg.lattice_points
+        monkeypatch.setattr(geometry, "_MAX_CELLS", 3)  # the cap is exact
+        assert convex_hull([(0, 0), (4, 6)]).lattice_points == \
+            ((0, 0), (2, 3), (4, 6))
+        with pytest.raises(ValueError, match="4 points > 2"):
+            convex_hull([(0, 0, 0), (0, 3, 3)]).lattice_points
 
     def test_planar_in_3d(self):
         P = convex_hull([(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1)])
@@ -420,8 +468,50 @@ class TestSegmentSums:
 
 class TestExactLinearAlgebra:
     def test_int_rank(self):
-        assert int_rank([(1, 2, 3), (2, 4, 6), (0, 0, 1)]) == 2
-        assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
+        # the rank of integer vectors is the dimension of their hull with
+        # the origin, read off its frame
+        for vectors, rank in [([(1, 2, 3), (2, 4, 6), (0, 0, 1)], 2),
+                              ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+                              ([(2, 4), (-3, -6)], 1)]:
+            frame = _frame(sorted({(0,) * len(vectors[0]), *vectors}))
+            assert len(frame) - 1 == rank == hnf_rank(vectors)
+
+    def test_frame_random(self):
+        # seeded point sets of every dimension in Z^2 and Z^3, some with
+        # coordinates near 2^70: the frame's size is 1 + the rank of the
+        # differences, and it is the greedy affine basis, each pick the
+        # first point off the span of the picks before it
+        rand = random.Random(20261022)
+        seen = set()
+        for n, k, big in itertools.product((2, 3), range(4), (0, 1, 2)):
+            if k > n:
+                continue
+
+            def vec(size):
+                return tuple(rand.randint(-size, size) for _ in range(n))
+
+            for _ in range(40):
+                # p0 and the spanning vectors small, p0 near 2^70, or both
+                p0 = vec(1 << 70 if big else 4)
+                basis = [vec(1 << 70 if big == 2 else 3) for _ in range(k)]
+                combos = [vec(2) for _ in range(rand.randint(1, 8))]
+                pts = sorted({vadd(p0, tuple(
+                    sum(c * v[j] for c, v in zip(cs, basis))
+                    for j in range(n))) for cs in combos})
+
+                def rank(ps):
+                    return hnf_rank([vsub(p, pts[0]) for p in ps])
+
+                frame, dim = _frame(pts), rank(pts[1:])
+                assert len(frame) - 1 == dim
+                assert frame[:2] == pts[:2]
+                for r in range(1, len(frame)):
+                    assert rank(frame[1:r + 1]) == r
+                    assert all(rank(frame[1:r] + [p]) == r - 1
+                               for p in pts[:pts.index(frame[r])])
+                assert convex_hull(pts).dim == dim
+                seen.add((n, dim))
+        assert seen == {(n, d) for n in (2, 3) for d in range(n + 1)}
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3, 3), (2, 5),
                                        (3, 2), (3, 6)])
@@ -441,7 +531,7 @@ class TestExactLinearAlgebra:
                 leads = [next((j for j, v in enumerate(row) if v), n)
                          for row in H]
                 r = sum(lead < n for lead in leads)
-                assert r == int_rank(D)
+                assert r == float_rank(D)
                 # nonzero rows first, pivots strictly to the right
                 assert leads[:r] == sorted(set(leads[:r]))
                 assert all(lead == n for lead in leads[r:])
@@ -587,7 +677,7 @@ class TestErosion:
 def _recedes(normals, n):
     """True iff some x != 0 in R^n has <a, x> >= 0 for every a in normals
     (n <= 3)."""
-    if int_rank(normals) < n:
+    if float_rank(normals) < n:
         return True
     # the cone {x : <a, x> >= 0} is pointed; it is not {0} iff it has an
     # extreme ray, which spans the kernel of n - 1 independent normals
@@ -618,7 +708,7 @@ def reference_box(ineqs):
         det = mat_det(M)
         if det == 0:
             continue
-        y = mat_vec(_adjugate(M), [bv for _, bv in combo])
+        y = mat_vec(adjugate(M), [bv for _, bv in combo])
         if det < 0:
             det, y = -det, vneg(y)
         if all(vdot(nv, y) >= bv * det for nv, bv in ineqs):
@@ -668,7 +758,7 @@ def reference_width(P):
     dirs = []
     for p in P.vertices[1:]:
         d = vsub(p, p0)
-        if int_rank(dirs + [d]) > len(dirs):
+        if float_rank(dirs + [d]) > len(dirs):
             dirs.append(d)
         if len(dirs) == n:
             break
@@ -761,7 +851,7 @@ class TestHalfSpaceSystem:
             normals = [tuple(int(x) for x in rng.integers(-3, 4, size=n))
                        for _ in range(int(rng.integers(1, 6)))]
             bound = int(rng.integers(0, 7))
-            if int_rank(normals) < n:
+            if float_rank(normals) < n:
                 with pytest.raises(ValueError, match="unbounded"):
                     RationalHalfSpaceSystem(normals, bound)
                 continue
@@ -773,7 +863,7 @@ class TestHalfSpaceSystem:
             pts = RationalHalfSpaceSystem(normals, bound).integer_points()
             # |x_j| <= bound sum_i |(N^-1)_ji| for independent N, exactly
             box = [min(int(bound * sum(abs(Fraction(x, mat_det(N)))
-                                       for x in _adjugate(N)[j]))
+                                       for x in adjugate(N)[j]))
                        for N in itertools.combinations(normals, n)
                        if mat_det(N))
                    for j in range(n)]
@@ -928,7 +1018,7 @@ def brute_force_maps(P, Q):
 
     base = [P.vertices[0]]
     for v in P.vertices[1:]:
-        if len(base) <= d and int_rank(diffs(base + [v])) == len(base):
+        if len(base) <= d and float_rank(diffs(base + [v])) == len(base):
             base.append(v)
     B_P = diffs(base)
     index = _minor_gcd(B_P)
@@ -1122,11 +1212,15 @@ class TestNormalForm:
 
 class TestUnimodularMap:
     def test_compose_inverse(self, rng):
-        for _ in range(20):
-            phi = random_affine_map(rng)
-            ident = phi.compose(phi.inverse())
-            assert ident.matrix == UnimodularMap.identity(3).matrix
-            assert ident.translation == (0, 0, 0)
+        # in Z^1, Z^2 and Z^3, against the cofactor inverse adj(M) det(M)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                phi = random_affine_map(rng, n)
+                inv, M = phi.inverse(), phi.matrix
+                assert inv.matrix == tuple(
+                    tuple(x * mat_det(M) for x in row) for row in adjugate(M))
+                for ident in (phi.compose(inv), inv.compose(phi)):
+                    assert ident == UnimodularMap.identity(n)
 
     def test_apply(self):
         phi = UnimodularMap(((0, 1, 0), (1, 0, 0), (0, 0, 1)), (1, 0, 0))
